@@ -26,7 +26,6 @@ from .hedge import (
     is_fixed_point,
     run_hedge,
     average_iterates,
-    make_schedule,
     rescale_to_unit,
 )
 

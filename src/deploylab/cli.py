@@ -36,9 +36,10 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in sorted(obj) if True] \
-            if isinstance(obj, (set, frozenset)) else [_jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [_jsonable(v) for v in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     return obj
 
 
@@ -173,9 +174,8 @@ def _cmd_experiment(args):
     config = expmod.ExperimentConfig(
         experiment=args.experiment, trials=args.trials,
         dimension=args.dimension, eps=args.eps, seed=args.seed,
-        schedule_form=args.schedule_form, schedule_c=args.schedule_c,
-        schedule_exponent=args.schedule_exponent, max_iters=args.max_iters,
-        out_dir=args.out or ".", workers=args.workers)
+        max_iters=args.max_iters, out_dir=args.out or ".",
+        workers=args.workers)
     report = expmod.run_experiment(config)
     formats = tuple(args.format.split(","))
     paths = expmod.emit_report(report, formats, config.out_dir)
@@ -230,9 +230,6 @@ def build_parser():
     p.add_argument("--dimension", type=int, default=10)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--schedule-form", default="power")
-    p.add_argument("--schedule-c", type=float, default=1.0)
-    p.add_argument("--schedule-exponent", type=float, default=0.5)
     p.add_argument("--max-iters", type=int, default=10**6)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", default="json")

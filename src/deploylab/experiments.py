@@ -18,7 +18,7 @@ import numpy as np
 
 from .games import BimatrixGame, is_approx_equilibrium
 from .graphs import (classify_acyclicity, maximal_states, pure_nash)
-from .hedge import (LearningRateSchedule, relative_entropy, rescale_to_unit,
+from .hedge import (LearningRateSchedule, hedge_candidates, rescale_to_unit,
                     run_hedge)
 from .mechanisms import (A, D, X, Y, InsuranceParams, StagHuntSpec,
                          apply_election, apply_insurance, build_stag_hunt,
@@ -38,9 +38,6 @@ class ExperimentConfig:
     dimension: int = 10
     eps: float = 1e-3
     seed: int = 0
-    schedule_form: str = "power"
-    schedule_c: float = 1.0
-    schedule_exponent: float = 0.5
     max_iters: int = 10**6
     out_dir: str = "."
     workers: int = 1
@@ -52,10 +49,6 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-
-    def schedule(self):
-        return LearningRateSchedule(self.schedule_form, self.schedule_c,
-                                    self.schedule_exponent)
 
 
 @dataclass
@@ -107,8 +100,12 @@ def gen_random_game(kind, dims, seed):
     raise ValueError("unknown game kind %r" % (kind,))
 
 
-def hedge_symmetric_solve(C, eps, max_iters=10**6, restarts=10, seed=0,
-                          segment=2000, schedule=None):
+_RESTARTS = 10
+_SEGMENT = 2000
+_SCHEDULE = LearningRateSchedule("power", 1.0, 0.5)
+
+
+def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     """Approximate symmetric equilibrium of (C, C^T) by Hedge.
 
     Restarts from random interior points within the iteration budget;
@@ -117,47 +114,17 @@ def hedge_symmetric_solve(C, eps, max_iters=10**6, restarts=10, seed=0,
     """
     C = np.asarray(C, dtype=float)
     n = C.shape[0]
-    if schedule is None:
-        schedule = LearningRateSchedule("power", 1.0, 0.5)
-    per_restart = max_iters // restarts
-
-    def gap(x):
-        p = C @ x
-        return float(p.max() - x @ p)
-
+    starts = ((np.ones(n) / n if r == 0
+               else _trial_rng(seed, r).dirichlet(np.ones(n)), _SCHEDULE)
+              for r in range(_RESTARTS))
     used = 0
-    for restart in range(restarts):
-        if restart == 0:
-            x = np.ones(n) / n
-        else:
-            x = _trial_rng(seed, restart).dirichlet(np.ones(n))
-        running = np.zeros(n)
-        checkpoints = [(0, np.zeros(n))]
-        done = 0
-        while done < per_restart:
-            chunk = min(segment, per_restart - done)
-            trace = run_hedge(C, x, schedule, max_iters=chunk,
-                              record_every=chunk, k0=done)
-            x = trace.final
-            running += trace.iterate_sum
-            done += trace.count
-            used += trace.count
-            checkpoints.append((done, running.copy()))
-            candidates = [x, running / done]
-            for frac in (2, 4, 8):
-                cut = done - done // frac
-                k0c, s0 = min(checkpoints, key=lambda cs: abs(cs[0] - cut))
-                if done - k0c > 0:
-                    candidates.append((running - s0) / (done - k0c))
-            for cand in candidates:
-                if gap(cand) <= eps:
-                    return {"success": True, "strategy": cand,
-                            "iterations": used, "restarts": restart + 1,
-                            "gap": gap(cand)}
-            if trace.stop_reason == "fixed-point":
-                break
+    for orbit, used, _, cand, gap in hedge_candidates(
+            C, starts, max_iters // _RESTARTS, _SEGMENT, (2, 4, 8)):
+        if gap <= eps:
+            return {"success": True, "strategy": cand, "iterations": used,
+                    "restarts": orbit + 1, "gap": gap}
     return {"success": False, "strategy": None, "iterations": used,
-            "restarts": restarts, "gap": None}
+            "restarts": _RESTARTS, "gap": None}
 
 
 def _trial_random_symmetric(config, t):

@@ -3,7 +3,8 @@
 T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
-detection, and numeric checks of the entropy convexity/secant bounds.
+detection, numeric checks of the entropy convexity/secant bounds, and
+hedge_candidates, the segmented candidate engine of both Hedge solvers.
 """
 
 import math
@@ -66,10 +67,6 @@ class LearningRateSchedule:
     def __repr__(self):
         return "LearningRateSchedule(%r, c=%g, exponent=%g)" % (
             self.form, self.c, self.exponent)
-
-
-def make_schedule(form, c, exponent=1.0):
-    return LearningRateSchedule(form, c, exponent)
 
 
 def hedge_step(op, x, alpha):
@@ -169,7 +166,7 @@ class HedgeTrace:
                                          self.iterates):
                 w.writerow([k, repr(a), repr(pay),
                             "" if re_ is None else repr(re_)] +
-                           [repr(v) for v in x])
+                           [repr(float(v)) for v in x])
 
 
 def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
@@ -187,7 +184,6 @@ def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
         raise ValueError("Hedge must start in the relative interior "
                          "(the boundary is invariant)")
     trace = HedgeTrace(record_every=record_every)
-    rate = payoff = re_ref = None
     M = op.matrix if op.kind == "linear-matrix" else None
     for k in range(max_iters):
         p = M @ x if M is not None else payoff_vector(op, x)
@@ -209,10 +205,49 @@ def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
         x = x_next
     p = M @ x if M is not None else payoff_vector(op, x)
     re_ref = None if reference is None else relative_entropy(reference, x)
-    trace._record_final(k0 + max_iters, x, rate, float(x @ p), re_ref,
-                        in_sum=False)
+    trace._record_final(k0 + max_iters, x, schedule.rate(k0 + max_iters),
+                        float(x @ p), re_ref, in_sum=False)
     trace.stop_reason = "max-iters"
     return trace
+
+
+def hedge_candidates(C, orbits, per_orbit, segment, fracs):
+    """Candidate equilibria along Hedge orbits, run in segments.
+
+    orbits yields (interior start, schedule) pairs; each orbit runs for
+    per_orbit iterations, or until a fixed-point stop.  After every
+    segment this yields (orbit, iterations, kind, strategy, gap) for the
+    kinds 'last' (the current iterate), 'all' (the orbit's mean) and
+    'tail<f>' for each f in fracs (the mean since the segment boundary
+    nearest to the last 1/f of the orbit).  iterations counts every
+    iteration so far over all orbits; gap is max(Cx) - x.Cx.
+    """
+    used = 0
+    for orbit, (x, schedule) in enumerate(orbits):
+        running = np.zeros(len(x))
+        checkpoints = [(0, np.zeros(len(x)))]
+        done = 0
+        while done < per_orbit:
+            chunk = min(segment, per_orbit - done)
+            trace = run_hedge(C, x, schedule, max_iters=chunk,
+                              record_every=chunk, k0=done)
+            x = trace.final
+            running += trace.iterate_sum
+            done += trace.count
+            used += trace.count
+            checkpoints.append((done, running.copy()))
+            candidates = [("last", x), ("all", running / done)]
+            for frac in fracs:
+                cut = done - done // frac
+                k0c, s0 = min(checkpoints, key=lambda cs: abs(cs[0] - cut))
+                if done - k0c > 0:
+                    candidates.append(("tail%d" % frac,
+                                       (running - s0) / (done - k0c)))
+            for kind, cand in candidates:
+                p = C @ cand
+                yield orbit, used, kind, cand, float(p.max() - cand @ p)
+            if trace.stop_reason == "fixed-point":
+                break
 
 
 def average_iterates(trace, window="all"):

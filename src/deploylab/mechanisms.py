@@ -224,14 +224,6 @@ def _eliminate_rounds(game, restriction, strict):
     return eliminations, rnd - 1
 
 
-def _eliminate_strict_rounds(game, restriction):
-    return _eliminate_rounds(game, restriction, True)
-
-
-def _eliminate_weak_rounds(game, restriction):
-    return _eliminate_rounds(game, restriction, False)
-
-
 def _all_weak_orders(game, restriction, terminals):
     options = []
     for i in range(game.player_count):
@@ -264,7 +256,7 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
     restriction = [list(range(c)) for c in game.strategy_counts]
     record = {"kind": kind, "order": order}
     if kind == "strict":
-        elim, rounds = _eliminate_strict_rounds(game, restriction)
+        elim, rounds = _eliminate_rounds(game, restriction, True)
         seq = [list(range(c)) for c in game.strategy_counts]
         seq_elim, _ = _eliminate_strict_sequential(game, seq)
         if [sorted(r) for r in seq] != [sorted(r) for r in restriction]:
@@ -280,7 +272,7 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
         _all_weak_orders(game, restriction, terminals)
         record.update(terminal_survivor_sets=terminals)
         return record
-    elim, rounds = _eliminate_weak_rounds(game, restriction)
+    elim, rounds = _eliminate_rounds(game, restriction, False)
     record.update(eliminations=elim, rounds=rounds, survivors=restriction)
     return record
 

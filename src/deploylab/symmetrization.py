@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import BimatrixGame, is_approx_equilibrium
-from .hedge import LearningRateSchedule, run_hedge
+from .hedge import LearningRateSchedule, hedge_candidates
 
 
 @dataclass
@@ -226,8 +226,7 @@ def _verify_chain(orig, gkt_game, C0, pair_unit, budget, eps):
     return report, None
 
 
-def solve_bimatrix_via_hedge(game, eps, schedules=None, max_iters=2 * 10**6,
-                             segment=_SEGMENT):
+def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     """Approximate equilibrium of a bimatrix game via GKT + Hedge.
 
     Runs Hedge on the [0,1]-rescaled GKT game from the uniform start,
@@ -252,72 +251,47 @@ def solve_bimatrix_via_hedge(game, eps, schedules=None, max_iters=2 * 10**6,
     n = C0.shape[0]
     unit_game = BimatrixGame(C0, C0.T)
 
-    if schedules is None:
-        schedules = DEFAULT_RESTARTS
-    slice_iters = max_iters // len(schedules)
-
+    orbits = ((np.ones(n) / n, sched) for sched in DEFAULT_RESTARTS)
     total_iters = 0
     best_gap = np.inf
-    last_trace = None
-    for sched in schedules:
-        x = np.ones(n) / n
-        running_sum = np.zeros(n)
-        checkpoints = [(0, np.zeros(n))]
-        done = 0
-        while done < slice_iters:
-            chunk = min(segment, slice_iters - done)
-            trace = run_hedge(C0, x, sched, max_iters=chunk,
-                              record_every=chunk, k0=done)
-            last_trace = trace
-            x = trace.final
-            running_sum += trace.iterate_sum
-            done += trace.count
-            total_iters += trace.count
-            checkpoints.append((done, running_sum.copy()))
-
-            candidates = [x, running_sum / done]
-            for frac in (2, 4):
-                cut = done - done // frac
-                k0c, s0 = min(checkpoints, key=lambda cs: abs(cs[0] - cut))
-                if done - k0c > 0:
-                    candidates.append((running_sum - s0) / (done - k0c))
-            for cand in candidates:
-                gap = float((C0 @ cand).max() - cand @ (C0 @ cand))
-                best_gap = min(best_gap, gap)
-                for level in (eps_ws, 2.0 * eps_ws, eps_ws / 2.0):
-                    try:
-                        p0, q0, _ = approx_to_well_supported(
-                            unit_game, cand, cand, level,
-                            check_precondition=False)
-                    except ValueError:
-                        continue
-                    report, pair = _verify_chain(game, gkt_game, C0,
-                                                 (p0, q0), budget, eps)
-                    if pair is not None:
-                        return {
-                            "success": True,
-                            "pair": pair,
-                            "iterations": total_iters,
-                            "eps_chain": {
-                                "target_eps": eps,
-                                "ws_on_gkt": budget.ws_on_gkt,
-                                "ws_on_unit": budget.ws_on_unit,
-                                "approx_on_unit": budget.approx_on_unit,
-                            },
-                            "verdicts": report,
-                            "diagnostics": {
-                                "schedule": repr(sched),
-                                "best_gap_on_unit": best_gap,
-                            },
-                        }
-            if trace.stop_reason == "fixed-point":
-                break
+    last = None
+    for orbit, total_iters, kind, cand, gap in hedge_candidates(
+            C0, orbits, max_iters // len(DEFAULT_RESTARTS), _SEGMENT,
+            (2, 4)):
+        if kind == "last":
+            last = cand
+        best_gap = min(best_gap, gap)
+        for level in (eps_ws, 2.0 * eps_ws, eps_ws / 2.0):
+            try:
+                p0, q0, _ = approx_to_well_supported(
+                    unit_game, cand, cand, level, check_precondition=False)
+            except ValueError:
+                continue
+            report, pair = _verify_chain(game, gkt_game, C0, (p0, q0),
+                                         budget, eps)
+            if pair is not None:
+                return {
+                    "success": True,
+                    "pair": pair,
+                    "iterations": total_iters,
+                    "eps_chain": {
+                        "target_eps": eps,
+                        "ws_on_gkt": budget.ws_on_gkt,
+                        "ws_on_unit": budget.ws_on_unit,
+                        "approx_on_unit": budget.approx_on_unit,
+                    },
+                    "verdicts": report,
+                    "diagnostics": {
+                        "schedule": repr(DEFAULT_RESTARTS[orbit]),
+                        "best_gap_on_unit": best_gap,
+                    },
+                }
     return {
         "success": False,
         "pair": None,
         "iterations": total_iters,
         "diagnostics": {
             "best_gap_on_unit": best_gap,
-            "trace_tail": None if last_trace is None else last_trace.final,
+            "trace_tail": last,
         },
     }

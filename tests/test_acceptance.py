@@ -16,8 +16,8 @@ from deploylab.graphs import (better_response_walk, build_graph,
                               build_ordinal_potential, classify_acyclicity,
                               maximal_states, pure_nash,
                               strongly_maximal_equilibrium_classes)
-from deploylab.hedge import (check_convexity_bounds, hedge_step,
-                             is_fixed_point, make_schedule, relative_entropy,
+from deploylab.hedge import (LearningRateSchedule, check_convexity_bounds,
+                             hedge_step, is_fixed_point, relative_entropy,
                              rescale_to_unit, run_hedge, average_iterates)
 from deploylab.mechanisms import (A, D, ElectionParams, InsuranceParams,
                                   StagHuntSpec, X, Y, apply_election,
@@ -76,7 +76,7 @@ def test_criterion_02_convexity_lemma():
 def test_criterion_03_gess_convergence():
     ok = True
     worst = 0
-    schedule = make_schedule("harmonic", 10.0)
+    schedule = LearningRateSchedule("harmonic", 10.0)
     for trial in range(20):
         rng = rng_for(103, trial)
         n = 2 + trial % 4
@@ -104,7 +104,7 @@ def test_criterion_04_rps_repulsion_and_averaging():
     for trial in range(10):
         x0 = rng_for(104, trial).dirichlet(np.ones(3))
         for alpha in (0.1, 0.5, 1.0):
-            trace = run_hedge(C0, x0, make_schedule("constant", alpha),
+            trace = run_hedge(C0, x0, LearningRateSchedule("constant", alpha),
                               max_iters=300, reference=uniform,
                               record_every=1)
             re = np.array(trace.re_to_reference, dtype=float)
@@ -117,7 +117,7 @@ def test_criterion_04_rps_repulsion_and_averaging():
     # see the last cycle; that average does not converge.
     avg_ok = True
     worst = 0.0
-    schedule = make_schedule("power", 1.0, 0.5)
+    schedule = LearningRateSchedule("power", 1.0, 0.5)
     for trial in range(10):
         x0 = rng_for(104, trial).dirichlet(np.ones(3))
         trace = run_hedge(C0, x0, schedule, max_iters=10**6,

@@ -38,6 +38,15 @@ class TestHedgeSymmetricSolve:
         assert is_approx_equilibrium(C, res["strategy"], 1e-3, "symmetric")
         assert res["gap"] <= 1e-3
 
+    def test_pinned_restart_after_fixed_point_stop(self):
+        # criterion-5 game 4: restarts 2 and 3 end on a fixed-point stop
+        # and restart 4 solves it
+        C = np.random.default_rng([105, 4]).random((10, 10))
+        res = hedge_symmetric_solve(C, 1e-3, max_iters=10**6, seed=4)
+        assert res["success"]
+        assert res["iterations"] == 238713
+        assert res["restarts"] == 4
+
 
 class TestRunExperiment:
     def test_config_validation(self):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from deploylab.games import PayoffOperator
 from deploylab.hedge import (LearningRateSchedule, average_iterates,
-                             check_convexity_bounds, hedge_step,
-                             is_fixed_point, make_schedule, relative_entropy,
+                             check_convexity_bounds, hedge_candidates,
+                             hedge_step, is_fixed_point, relative_entropy,
                              rescale_to_unit, run_hedge)
 from conftest import dominant_column_game, random_simplex, rng_for
 
@@ -25,24 +25,24 @@ def naive_hedge_step(C, x, alpha):
 
 class TestSchedules:
     def test_forms(self):
-        assert make_schedule("constant", 0.5).rate(99) == 0.5
-        assert make_schedule("harmonic", 2.0).rate(3) == 0.5
-        assert make_schedule("power", 1.0, 0.5).rate(3) == 0.5
+        assert LearningRateSchedule("constant", 0.5).rate(99) == 0.5
+        assert LearningRateSchedule("harmonic", 2.0).rate(3) == 0.5
+        assert LearningRateSchedule("power", 1.0, 0.5).rate(3) == 0.5
 
     def test_convergence_flags(self):
-        assert not make_schedule("constant", 0.1).vanishes
-        harmonic = make_schedule("harmonic", 1.0)
+        assert not LearningRateSchedule("constant", 0.1).vanishes
+        harmonic = LearningRateSchedule("harmonic", 1.0)
         assert harmonic.vanishes and harmonic.diverges
         assert harmonic.convergent_schedule
-        assert make_schedule("power", 1.0, 0.5).convergent_schedule
+        assert LearningRateSchedule("power", 1.0, 0.5).convergent_schedule
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            make_schedule("geometric", 1.0)
+            LearningRateSchedule("geometric", 1.0)
         with pytest.raises(ValueError):
-            make_schedule("constant", 0.0)
+            LearningRateSchedule("constant", 0.0)
         with pytest.raises(ValueError):
-            make_schedule("power", 1.0, 1.5)
+            LearningRateSchedule("power", 1.0, 1.5)
 
 
 class TestHedgeStep:
@@ -150,12 +150,13 @@ class TestRunHedge:
     def test_requires_interior_start(self):
         with pytest.raises(ValueError):
             run_hedge(np.eye(2), np.array([1.0, 0.0]),
-                      make_schedule("constant", 0.1), max_iters=10)
+                      LearningRateSchedule("constant", 0.1), max_iters=10)
 
     def test_trace_bookkeeping(self):
         C = rng_for(17).random((3, 3))
-        trace = run_hedge(C, np.ones(3) / 3, make_schedule("constant", 0.1),
-                          max_iters=50, record_every=7)
+        trace = run_hedge(C, np.ones(3) / 3,
+                          LearningRateSchedule("constant", 0.1), max_iters=50,
+                          record_every=7)
         assert trace.count == 50
         assert trace.stop_reason == "max-iters"
         assert trace.iterate_iters[0] == 0
@@ -164,8 +165,9 @@ class TestRunHedge:
 
     def test_average_matches_manual_mean(self):
         C = rng_for(18).random((3, 3))
-        trace = run_hedge(C, np.ones(3) / 3, make_schedule("constant", 0.1),
-                          max_iters=40, record_every=1)
+        trace = run_hedge(C, np.ones(3) / 3,
+                          LearningRateSchedule("constant", 0.1), max_iters=40,
+                          record_every=1)
         manual = np.mean(trace.iterates, axis=0)  # iterates 0..40
         assert np.allclose(average_iterates(trace, "all"), manual, atol=1e-12)
         tail = np.mean(trace.iterates[-5:], axis=0)
@@ -176,8 +178,8 @@ class TestRunHedge:
         # a dominant row drives the orbit to a pure fixed point well
         # before max_iters; the stopping iterate is already in the sum
         trace = run_hedge([[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5],
-                          make_schedule("constant", 1.0), max_iters=10**4,
-                          record_every=1, k0=k0)
+                          LearningRateSchedule("constant", 1.0),
+                          max_iters=10**4, record_every=1, k0=k0)
         assert trace.stop_reason == "fixed-point"
         assert len(trace.iterates) == trace.count
         manual = np.mean(trace.iterates, axis=0)
@@ -185,8 +187,8 @@ class TestRunHedge:
                            rtol=0, atol=1e-12)
 
     def test_fixed_point_stop(self, rps):
-        trace = run_hedge(rps, np.ones(3) / 3, make_schedule("constant", 0.5),
-                          max_iters=100)
+        trace = run_hedge(rps, np.ones(3) / 3,
+                          LearningRateSchedule("constant", 0.5), max_iters=100)
         assert trace.stop_reason == "fixed-point"
         assert np.allclose(trace.final, 1.0 / 3.0)
 
@@ -194,7 +196,8 @@ class TestRunHedge:
         rng = rng_for(19)
         C, star = dominant_column_game(rng, 4)
         ref = np.eye(4)[star]
-        trace = run_hedge(C, np.ones(4) / 4, make_schedule("harmonic", 10.0),
+        trace = run_hedge(C, np.ones(4) / 4,
+                          LearningRateSchedule("harmonic", 10.0),
                           max_iters=10**5, reference=ref, stop_re=1e-4,
                           record_every=10**5)
         assert trace.stop_reason == "converged"
@@ -202,7 +205,7 @@ class TestRunHedge:
 
     def test_segmented_run_matches_single_run(self):
         C = rng_for(20).random((3, 3))
-        sched = make_schedule("harmonic", 1.0)
+        sched = LearningRateSchedule("harmonic", 1.0)
         whole = run_hedge(C, np.ones(3) / 3, sched, max_iters=60)
         first = run_hedge(C, np.ones(3) / 3, sched, max_iters=25)
         second = run_hedge(C, first.final, sched, max_iters=35, k0=25)
@@ -210,16 +213,82 @@ class TestRunHedge:
 
     def test_csv_trace_format(self, tmp_path):
         C = rng_for(21).random((3, 3))
-        trace = run_hedge(C, np.ones(3) / 3, make_schedule("constant", 0.1),
-                          max_iters=10, reference=np.ones(3) / 3)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iter", "alpha", "payoff", "re_to_reference",
-                           "x_0", "x_1", "x_2"]
-        assert len(rows) == len(trace.iterates) + 1
-        assert float(rows[1][0]) == 0
+        sched = LearningRateSchedule("harmonic", 1.0)
+        for max_iters in (10, 0):
+            trace = run_hedge(C, np.ones(3) / 3, sched, max_iters=max_iters,
+                              reference=np.ones(3) / 3)
+            path = tmp_path / "trace.csv"
+            trace.to_csv(path)
+            with open(path) as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["iter", "alpha", "payoff", "re_to_reference",
+                               "x_0", "x_1", "x_2"]
+            assert len(rows) == len(trace.iterates) + 1
+            assert float(rows[1][0]) == 0
+            # every cell is a plain number, and the final (max-iters) row
+            # carries the rate of its own iteration
+            values = [[float(v) for v in row] for row in rows[1:]]
+            assert values[-1][0] == max_iters
+            assert values[-1][1] == sched.rate(max_iters)
+
+
+class TestHedgeCandidates:
+    def test_kind_order(self):
+        C = rng_for(24).random((3, 3))
+        orbits = [(np.ones(3) / 3, LearningRateSchedule("power", 1.0, 0.5))]
+        out = list(hedge_candidates(C, orbits, 40, 10, (2, 4)))
+        by_segment = {}
+        for orbit, iters, kind, _, _ in out:
+            assert orbit == 0
+            by_segment.setdefault(iters, []).append(kind)
+        assert sorted(by_segment) == [10, 20, 30, 40]
+        # after one segment the nearest checkpoint to the last quarter is
+        # the segment's own end, so that window is empty and skipped
+        assert by_segment[10] == ["last", "all", "tail2"]
+        for iters in (20, 30, 40):
+            assert by_segment[iters] == ["last", "all", "tail2", "tail4"]
+
+    def test_windows_match_plain_means(self):
+        C = rng_for(25).random((4, 4))
+        x0 = np.ones(4) / 4
+        sched = LearningRateSchedule("power", 1.0, 0.5)
+        segment, per_orbit = 7, 50
+        full = run_hedge(C, x0, sched, max_iters=per_orbit, record_every=1)
+        xs = np.array(full.iterates)  # iterates 0..per_orbit
+        for _, done, kind, cand, gap in hedge_candidates(
+                C, [(x0, sched)], per_orbit, segment, (2, 4, 8)):
+            if kind == "last":
+                expect = xs[done]
+            elif kind == "all":
+                expect = xs[:done].mean(axis=0)
+            else:
+                cut = done - done // int(kind[4:])
+                marks = [j * segment for j in range(done // segment + 1)]
+                if done % segment:
+                    marks.append(done)
+                start = min(marks, key=lambda k: abs(k - cut))
+                expect = xs[start:done].mean(axis=0)
+            assert np.allclose(cand, expect, rtol=0, atol=1e-12), (done, kind)
+            p = C @ expect
+            assert gap == pytest.approx(p.max() - expect @ p, abs=1e-12)
+
+    def test_fixed_point_ends_orbit_only(self):
+        # a dominant row: at rate 1 the orbit reaches the pure fixed point
+        # within a few dozen iterations; at rate 1e-6 each step still
+        # moves x by about 2.5e-7, far above the fixed-point threshold
+        C = np.array([[1.0, 1.0], [0.0, 0.0]])
+        x0 = np.array([0.5, 0.5])
+        orbits = [(x0, LearningRateSchedule("constant", 1.0)),
+                  (x0, LearningRateSchedule("constant", 1e-6))]
+        out = list(hedge_candidates(C, orbits, 1000, 100, (2,)))
+        first = [o for o in out if o[0] == 0]
+        second = [o for o in out if o[0] == 1]
+        stopped_at = first[-1][1]
+        assert 0 < stopped_at < 100
+        assert len({o[1] for o in first}) == 1  # a single, short segment
+        assert first[0][2] == "last" and first[0][4] < 1e-13
+        assert [o[1] for o in second if o[2] == "last"] == \
+            [stopped_at + 100 * j for j in range(1, 11)]
 
 
 class TestConvexityBounds:
@@ -271,7 +340,8 @@ class TestConvergence:
         rng = rng_for(23)
         C, star = dominant_column_game(rng, 5)
         ref = np.eye(5)[star]
-        trace = run_hedge(C, np.ones(5) / 5, make_schedule("harmonic", 10.0),
+        trace = run_hedge(C, np.ones(5) / 5,
+                          LearningRateSchedule("harmonic", 10.0),
                           max_iters=10**4, reference=ref, stop_re=1e-4)
         assert trace.stop_reason == "converged"
 
@@ -280,7 +350,7 @@ class TestConvergence:
         C0, _, _ = rescale_to_unit(rps)
         uniform = np.ones(3) / 3
         x0 = np.array([0.4, 0.35, 0.25])
-        trace = run_hedge(C0, x0, make_schedule("constant", 0.5),
+        trace = run_hedge(C0, x0, LearningRateSchedule("constant", 0.5),
                           max_iters=500, reference=uniform)
         res = trace.re_to_reference
         assert all(b > a for a, b in zip(res, res[1:]))
