@@ -6,8 +6,9 @@
     deploylab mechanism --type insurance|election --n N --benefit CSV --c C ...
     deploylab experiment --experiment NAME [--trials T] [--dimension D] ...
 
-Exit codes: 0 success, 1 experiment produced failures, 2 configuration
-error.  DEPLOYLAB_WORKERS overrides the experiment worker count.
+Exit codes: 0 success, 1 a solver or experiment missed its target, 2
+configuration or input error.  DEPLOYLAB_WORKERS overrides the experiment
+worker count.
 """
 
 import argparse
@@ -18,11 +19,9 @@ import sys
 import numpy as np
 
 from . import experiments as expmod
-from .games import (BimatrixGame, game_to_dict, load_game, save_game,
+from .games import (BimatrixGame, StrategicGame, load_game, save_game,
                     support_enumeration_equilibria)
-from .graphs import (build_graph, build_ordinal_potential, condensation,
-                     maximal_states, pure_nash,
-                     strongly_maximal_equilibrium_classes)
+from .graphs import analyze
 from .mechanisms import (ElectionParams, InsuranceParams, StagHuntSpec,
                          apply_election, apply_insurance, iterated_dominance)
 from .symmetrization import gkt_symmetrize, normalize_bimatrix, \
@@ -69,7 +68,7 @@ def _cmd_solve(args):
             p, q = res["pair"]
             out["pair"] = [p.tolist(), q.tolist()]
     _write_json(out, args.out)
-    return 0
+    return 0 if out.get("success", True) else 1
 
 
 def _cmd_symmetrize(args):
@@ -97,31 +96,32 @@ def _cmd_symmetrize(args):
         p, q = res["pair"]
         report["recovered_pair"] = [p.tolist(), q.tolist()]
     _write_json(report, os.path.join(out_dir, "pipeline_report.json"))
-    return 0
+    return 0 if res["success"] else 1
+
+
+def _sorted_lists(profiles):
+    return [list(s) for s in sorted(profiles)]
 
 
 def _cmd_analyze_graph(args):
     game = load_game(args.game)
     if isinstance(game, BimatrixGame):
-        from .games import StrategicGame
         game = StrategicGame.from_bimatrix(game)
-    weak = maximal_states(game, "weak")
-    strong = maximal_states(game, "strong")
-    potential = build_ordinal_potential(game)
+    res = analyze(game)
+    potential = res["potential"]
     out = {
-        "pure_nash": {str(list(s)): lbl for s, lbl in pure_nash(game).items()},
-        "weak_maximal": [list(s) for s in sorted(weak.maximal_states)],
-        "strong_maximal": [list(s) for s in sorted(strong.maximal_states)],
-        "classes": [[list(s) for s in sorted(c)]
-                    for c in strongly_maximal_equilibrium_classes(game)],
-        "flags": weak.flags,
+        "pure_nash": {str(list(s)): lbl
+                      for s, lbl in res["pure_nash"].items()},
+        "weak_maximal": _sorted_lists(res["weak"].maximal_states),
+        "strong_maximal": _sorted_lists(res["strong"].maximal_states),
+        "classes": [_sorted_lists(c) for c in res["equilibrium_classes"]],
+        "flags": res["flags"],
         "potential": None if potential is None else
         {str(list(s)): v for s, v in sorted(potential.items())},
     }
     _write_json(out, args.out)
     if args.dot:
-        graph = build_graph(game, "ordinal")
-        cond = condensation(graph)
+        cond = res["condensation"]
         lines = ["digraph condensation {"]
         for cid, comp in enumerate(cond.components):
             label = "\\n".join(str(list(game.decode(v))) for v in comp[:4])
@@ -153,8 +153,7 @@ def _cmd_mechanism(args):
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_game(game, os.path.join(out_dir, "induced_game.json"))
-    weak = maximal_states(game, "weak")
-    strong = maximal_states(game, "strong")
+    res = analyze(game)
     analysis = {
         "dominance": {
             "kind": dom["kind"],
@@ -162,9 +161,9 @@ def _cmd_mechanism(args):
             "survivors": dom.get("survivors"),
             "eliminations": [list(e) for e in dom.get("eliminations", [])],
         },
-        "weak_maximal": [list(s) for s in sorted(weak.maximal_states)],
-        "strong_maximal": [list(s) for s in sorted(strong.maximal_states)],
-        "flags": weak.flags,
+        "weak_maximal": _sorted_lists(res["weak"].maximal_states),
+        "strong_maximal": _sorted_lists(res["strong"].maximal_states),
+        "flags": res["flags"],
     }
     _write_json(analysis, os.path.join(out_dir, "analysis.json"))
     return 0
@@ -243,7 +242,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .games import BimatrixGame, is_approx_equilibrium
-from .graphs import (classify_acyclicity, maximal_states, pure_nash)
+from .graphs import analyze
 from .hedge import (LearningRateSchedule, hedge_candidates, rescale_to_unit,
                     run_hedge)
 from .mechanisms import (A, D, X, Y, InsuranceParams, StagHuntSpec,
@@ -173,10 +173,7 @@ def _trial_stag_hunt(config, t):
     n = int(rng.integers(2, min(config.dimension, 4) + 1))
     spec = gen_random_game("stag-hunt", n, [config.seed, t, 1])
     game = build_stag_hunt(spec)
-    flags = classify_acyclicity(game)
-    analysis = maximal_states(game, "weak")
-    ok = flags["weakly_acyclic"] and \
-        analysis.maximal_states <= analysis.pure_nash
+    ok = analyze(game)["flags"]["weakly_acyclic"]
     return {"trial": t, "seed": [config.seed, t], "outcome": bool(ok),
             "iterations": 0, "achieved_eps": None}
 
@@ -191,19 +188,19 @@ def _trial_mechanism(config, t):
     ins = apply_insurance(spec, InsuranceParams(premium, surplus))
     rec = iterated_dominance(ins, "strict")
     a_profile = (A,) * n
+    res = analyze(ins)
     ok = rec["rounds"] == 2 and \
         [r == [A] for r in rec["survivors"]].count(True) == n and \
-        maximal_states(ins, "weak").maximal_states == {a_profile} and \
-        maximal_states(ins, "strong").maximal_states == {a_profile}
+        res["weak"].maximal_states == {a_profile} and \
+        res["strong"].maximal_states == {a_profile}
 
     el = apply_election(spec)
     wrec = iterated_dominance(el, "weak")
     ok = ok and all(sorted(r) == [X, Y] for r in wrec["survivors"])
-    flags = classify_acyclicity(el)
-    ok = ok and flags["weakly_ordinally_acyclic"]
-    strong = maximal_states(el, "strong").maximal_states
-    ok = ok and all(D not in s for s in strong)
-    ok = ok and pure_nash(el).get((D,) * n) == "weak"
+    res = analyze(el)
+    ok = ok and res["flags"]["weakly_ordinally_acyclic"]
+    ok = ok and all(D not in s for s in res["strong"].maximal_states)
+    ok = ok and res["pure_nash"].get((D,) * n) == "weak"
     return {"trial": t, "seed": [config.seed, t], "outcome": bool(ok),
             "iterations": 0, "achieved_eps": None}
 

@@ -117,8 +117,9 @@ class BimatrixGame:
     def __init__(self, A, B):
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
-        if A.shape != B.shape:
-            raise ValueError("payoff matrices must have identical shape")
+        if A.ndim != 2 or A.shape != B.shape:
+            raise ValueError("payoff matrices must be 2-D and of identical "
+                             "shape")
         self.A = A
         self.B = B
 
@@ -253,10 +254,16 @@ class StrategicGame:
     def __init__(self, strategy_counts, table):
         self.strategy_counts = tuple(int(c) for c in strategy_counts)
         self.player_count = len(self.strategy_counts)
+        if min(self.strategy_counts, default=0) < 1:
+            raise ValueError("every player needs at least one strategy")
         table = np.asarray(table, dtype=float)
         want = self.strategy_counts + (self.player_count,)
-        if table.shape != want:
+        flat = (self.profile_count, self.player_count)
+        if table.shape == flat:
             table = table.reshape(want)
+        elif table.shape != want:
+            raise ValueError("payoff table has shape %s; expected %s or %s"
+                             % (table.shape, want, flat))
         self.table = table
 
     @classmethod
@@ -341,16 +348,33 @@ def game_to_dict(game):
     raise TypeError("unsupported game type %r" % type(game))
 
 
+_GAME_KEYS = {"bimatrix": ("A", "B"), "symmetric": ("A",),
+              "strategic": ("strategy_counts", "payoffs")}
+
+
 def game_from_dict(data):
+    """A game from its dict form (see load_game); ValueError if malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("a game must be a JSON object")
     kind = data.get("kind")
-    if kind == "bimatrix":
-        return BimatrixGame(data["A"], data["B"])
-    if kind == "symmetric":
-        return BimatrixGame.symmetric(data["A"])
-    if kind == "strategic":
-        counts = data["strategy_counts"]
-        return StrategicGame(counts, np.asarray(data["payoffs"], dtype=float))
-    raise ValueError("unknown game kind %r" % (kind,))
+    if kind not in _GAME_KEYS:
+        raise ValueError("unknown game kind %r" % (kind,))
+    for key in _GAME_KEYS[kind]:
+        if key not in data:
+            raise ValueError("%s game is missing the key %r" % (kind, key))
+    try:
+        if kind == "strategic":
+            game = StrategicGame(data["strategy_counts"], data["payoffs"])
+        elif kind == "bimatrix":
+            game = BimatrixGame(data["A"], data["B"])
+        else:
+            game = BimatrixGame.symmetric(data["A"])
+    except TypeError as exc:
+        raise ValueError("malformed %s game: %s" % (kind, exc)) from None
+    tables = [game.table] if kind == "strategic" else [game.A, game.B]
+    if not all(np.isfinite(t).all() for t in tables):
+        raise ValueError("payoffs must be finite numbers")
+    return game
 
 
 def load_game(path):

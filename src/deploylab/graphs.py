@@ -39,11 +39,30 @@ class MaximalAnalysis:
     flags: dict = field(default_factory=dict)
 
 
+def _deviation_gains(game):
+    """Unilateral-deviation gains over the whole payoff table.
+
+    For each player i and strategy t, in that order, yields
+    (gain, target, mask): arrays of the table's profile shape holding
+    u_i(t, s_-i) - u_i(s), the flat id of (t, s_-i), and s_i != t.
+    """
+    counts = game.strategy_counts
+    ids = np.arange(game.profile_count).reshape(counts)
+    for i, c in enumerate(counts):
+        u = game.table[..., i]
+        stride = int(np.prod(counts[i + 1:]))
+        own = ids // stride % c
+        for t in range(c):
+            yield (np.take(u, [t], axis=i) - u, ids + (t - own) * stride,
+                   own != t)
+
+
 def build_graph(game, kind="strict", tie_tol=0.0, arc_cap=DEFAULT_ARC_CAP):
     """Deployment graph of a strategic game.
 
     Polarity is a discrete notion; integer payoff tables with the
-    default tie_tol=0 are recommended.
+    default tie_tol=0 are recommended.  Each profile's arcs are listed
+    by deviating player, then by the strategy deviated to.
     """
     if kind not in ("strict", "ordinal"):
         raise ValueError("kind must be strict or ordinal")
@@ -53,15 +72,13 @@ def build_graph(game, kind="strict", tie_tol=0.0, arc_cap=DEFAULT_ARC_CAP):
         raise ValueError("profile space needs %d arc slots, over the cap %d"
                          % (total_arcs, arc_cap))
     arcs = [[] for _ in range(game.profile_count)]
-    for s in game.profiles():
-        v = game.encode(s)
-        pay = game.payoffs(s)
-        for i, t, s2 in game.deviations(s):
-            gain = game.payoff(s2, i) - pay[i]
-            if gain > tie_tol:
-                arcs[v].append((game.encode(s2), POSITIVE))
-            elif kind == "ordinal" and gain >= -tie_tol:
-                arcs[v].append((game.encode(s2), NEUTRAL))
+    for gain, target, mask in _deviation_gains(game):
+        positive = mask & (gain > tie_tol)
+        keep = positive | (mask & (gain >= -tie_tol)) \
+            if kind == "ordinal" else positive
+        for v, w, pos in zip(np.flatnonzero(keep).tolist(),
+                             target[keep].tolist(), positive[keep].tolist()):
+            arcs[v].append((w, POSITIVE if pos else NEUTRAL))
     return DeploymentGraph(game.profile_count, arcs, kind)
 
 
@@ -125,14 +142,71 @@ def condensation(graph):
 
 def pure_nash(game, tol=0.0):
     """Pure Nash equilibria, labelled 'strict' or 'weak'."""
-    out = {}
-    for s in game.profiles():
-        pay = game.payoffs(s)
-        best_gain = -np.inf
-        for i, t, s2 in game.deviations(s):
-            best_gain = max(best_gain, game.payoff(s2, i) - pay[i])
-        if best_gain <= tol:
-            out[s] = "strict" if best_gain < -tol else "weak"
+    best = np.full(game.strategy_counts, -np.inf)
+    for gain, _, mask in _deviation_gains(game):
+        best = np.maximum(best, np.where(mask, gain, -np.inf))
+    best = best.ravel()
+    return {game.decode(v): "strict" if best[v] < -tol else "weak"
+            for v in np.flatnonzero(best <= tol).tolist()}
+
+
+def analyze(game, tie_tol=0.0):
+    """The whole maximality analysis of a strategic game, in one pass.
+
+    Builds and condenses the strict and the ordinal graph once each and
+    scans for pure Nash equilibria once.  Returns a dict with
+    'pure_nash' (profile -> label), 'weak' and 'strong' (MaximalAnalysis
+    of the strict and the ordinal graph), 'flags', 'equilibrium_classes',
+    'potential' and 'condensation' (of the ordinal graph).
+
+    Flags: ordinally_acyclic: every intra-component arc of the ordinal
+    graph is neutral (equivalent to admitting an ordinal potential).
+    weakly_acyclic: every weakly maximal state is a pure Nash
+    equilibrium.  weakly_ordinally_acyclic: every strongly maximal state
+    is a strongly maximal equilibrium.
+
+    A sink component of the ordinal graph is an equilibrium class only
+    when every one of its states is a pure Nash equilibrium; a sink that
+    mixes equilibria with non-equilibrium states (drifting escapes into
+    improvement cycles) contributes nothing.
+
+    The potential (profile -> int, or None if none exists) ranks the
+    ordinal graph's components by longest path in their DAG.  Neutral
+    arcs pair up, so their endpoints share a component and a potential
+    value; positive arcs always cross components forward.
+    """
+    labels = pure_nash(game, tie_tol)
+    nash = set(labels)
+    out = {"pure_nash": labels}
+    for kind, graph_kind in (("weak", "strict"), ("strong", "ordinal")):
+        graph = build_graph(game, graph_kind, tie_tol)
+        cond = condensation(graph)
+        classes = [set(game.decode(v) for v in cond.components[c])
+                   for c in sorted(cond.sinks)]
+        states = set().union(*classes) if classes else set()
+        out[kind] = MaximalAnalysis(states, classes, nash)
+    # graph and cond are the ordinal ones from here on
+    comp = cond.component_of.tolist()
+    flags = {
+        "ordinally_acyclic": not any(
+            pol == POSITIVE and comp[v] == comp[w]
+            for v, arcs in enumerate(graph.arcs) for w, pol in arcs),
+        "weakly_acyclic": out["weak"].maximal_states <= nash,
+        "weakly_ordinally_acyclic": out["strong"].maximal_states <= nash,
+    }
+    out["weak"].flags = out["strong"].flags = out["flags"] = flags
+    out["equilibrium_classes"] = [c for c in out["strong"].classes
+                                  if c <= nash]
+    out["condensation"] = cond
+    out["potential"] = None
+    if flags["ordinally_acyclic"]:
+        # Tarjan numbers a component after every component it reaches,
+        # so arcs taken by descending source follow a topological order.
+        rank = [0] * len(cond.components)
+        for a, b in sorted(cond.dag_arcs, reverse=True):
+            rank[b] = max(rank[b], rank[a] + 1)
+        out["potential"] = {game.decode(v): rank[c]
+                            for v, c in enumerate(comp)}
     return out
 
 
@@ -140,115 +214,22 @@ def maximal_states(game, kind="weak", tie_tol=0.0):
     """Weak (strict graph) or strong (ordinal graph) maximal states."""
     if kind not in ("weak", "strong"):
         raise ValueError("kind must be weak or strong")
-    graph = build_graph(game, "strict" if kind == "weak" else "ordinal",
-                        tie_tol)
-    cond = condensation(graph)
-    classes = [set(game.decode(v) for v in cond.components[c])
-               for c in sorted(cond.sinks)]
-    states = set().union(*classes) if classes else set()
-    nash = set(pure_nash(game, tie_tol))
-    return MaximalAnalysis(states, classes, nash,
-                           flags=classify_acyclicity(game, tie_tol))
+    return analyze(game, tie_tol)[kind]
 
 
 def strongly_maximal_equilibrium_classes(game, tie_tol=0.0):
-    """Communicating classes of strongly maximal pure Nash equilibria.
-
-    A sink component of the ordinal graph qualifies as an equilibrium
-    class only when every one of its states is a pure Nash equilibrium;
-    a sink that mixes equilibria with non-equilibrium states (drifting
-    escapes into improvement cycles) contributes nothing.  Members of a
-    class are mutually reachable by definition of the component.
-    """
-    graph = build_graph(game, "ordinal", tie_tol)
-    cond = condensation(graph)
-    nash = set(pure_nash(game, tie_tol))
-    classes = []
-    for c in sorted(cond.sinks):
-        profs = {game.decode(v) for v in cond.components[c]}
-        if profs and profs <= nash:
-            classes.append(profs)
-    return classes
+    """Communicating classes of strongly maximal pure Nash equilibria."""
+    return analyze(game, tie_tol)["equilibrium_classes"]
 
 
 def classify_acyclicity(game, tie_tol=0.0):
-    """Acyclicity flags of a strategic game.
-
-    ordinally_acyclic: every intra-component arc of the ordinal graph is
-    neutral (equivalent to admitting an ordinal potential).
-    weakly_acyclic: every weakly maximal state is a pure Nash
-    equilibrium.  weakly_ordinally_acyclic: every strongly maximal state
-    is a strongly maximal equilibrium.
-    """
-    nash = set(pure_nash(game, tie_tol))
-
-    ograph = build_graph(game, "ordinal", tie_tol)
-    ocond = condensation(ograph)
-    ordinally_acyclic = True
-    for v in range(ograph.profile_count):
-        for w, pol in ograph.arcs[v]:
-            if pol == POSITIVE and ocond.component_of[v] == ocond.component_of[w]:
-                ordinally_acyclic = False
-                break
-        if not ordinally_acyclic:
-            break
-
-    sgraph = build_graph(game, "strict", tie_tol)
-    scond = condensation(sgraph)
-    weakly_acyclic = all(
-        game.decode(v) in nash
-        for c in scond.sinks for v in scond.components[c])
-
-    weakly_ordinally_acyclic = all(
-        game.decode(v) in nash
-        for c in ocond.sinks for v in ocond.components[c])
-
-    return {
-        "ordinally_acyclic": ordinally_acyclic,
-        "weakly_acyclic": weakly_acyclic,
-        "weakly_ordinally_acyclic": weakly_ordinally_acyclic,
-    }
+    """Acyclicity flags of a strategic game (see analyze)."""
+    return analyze(game, tie_tol)["flags"]
 
 
 def build_ordinal_potential(game, tie_tol=0.0):
-    """An ordinal potential (profile -> int), or None if none exists.
-
-    Contracts the ordinal graph's components, orders the condensation
-    topologically, and assigns increasing integers along the order.
-    Neutral arcs pair up, so their endpoints share a component and a
-    potential value; positive arcs always cross components forward.
-    """
-    flags = classify_acyclicity(game, tie_tol)
-    if not flags["ordinally_acyclic"]:
-        return None
-    graph = build_graph(game, "ordinal", tie_tol)
-    cond = condensation(graph)
-    ncomp = len(cond.components)
-    indeg = [0] * ncomp
-    succ = [[] for _ in range(ncomp)]
-    for a, b in cond.dag_arcs:
-        succ[a].append(b)
-        indeg[b] += 1
-    order = [c for c in range(ncomp) if indeg[c] == 0]
-    head = 0
-    rank = [0] * ncomp
-    while head < len(order):
-        c = order[head]
-        head += 1
-        rank[c] = head
-        for b in succ[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                order.append(b)
-    # longest-path ranks so every dag arc strictly increases
-    topo_rank = [0] * ncomp
-    for c in order:
-        for b in succ[c]:
-            topo_rank[b] = max(topo_rank[b], topo_rank[c] + 1)
-    potential = {}
-    for s in game.profiles():
-        potential[s] = topo_rank[cond.component_of[game.encode(s)]]
-    return potential
+    """An ordinal potential (profile -> int), or None if none exists."""
+    return analyze(game, tie_tol)["potential"]
 
 
 def better_response_walk(game, start, kind="strict", seed=0, max_steps=1000,

@@ -79,6 +79,36 @@ def reachability_sccs(n, arcs):
     return set(comps)
 
 
+def naive_deviation_arcs(game, kind, tie_tol=0.0):
+    """Deployment-graph arcs by an explicit profiles x deviations loop:
+    arcs[v] lists (target, polarity) by deviating player, then strategy;
+    polarity 1 is a profitable deviation, 0 a neutral (ordinal) one."""
+    arcs = [[] for _ in range(game.profile_count)]
+    for s in game.profiles():
+        v = game.encode(s)
+        pay = game.payoffs(s)
+        for i, t, s2 in game.deviations(s):
+            gain = game.payoff(s2, i) - pay[i]
+            if gain > tie_tol:
+                arcs[v].append((game.encode(s2), 1))
+            elif kind == "ordinal" and gain >= -tie_tol:
+                arcs[v].append((game.encode(s2), 0))
+    return arcs
+
+
+def naive_pure_nash(game, tol=0.0):
+    """Pure Nash labels by scanning every profile's best deviation gain."""
+    out = {}
+    for s in game.profiles():
+        pay = game.payoffs(s)
+        best_gain = -np.inf
+        for i, t, s2 in game.deviations(s):
+            best_gain = max(best_gain, game.payoff(s2, i) - pay[i])
+        if best_gain <= tol:
+            out[s] = "strict" if best_gain < -tol else "weak"
+    return out
+
+
 def dominant_column_game(rng, n, margin=0.2):
     """Symmetric game whose strategy `star` strictly dominates.
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from deploylab import cli
 from deploylab.cli import main
 from deploylab.games import BimatrixGame, save_game
 
@@ -43,6 +44,64 @@ class TestSolve:
             json.dump({"kind": "strategic", "strategy_counts": [2, 2],
                        "payoffs": [[0, 0]] * 4}, fh)
         assert main(["solve", str(path)]) == 2
+
+
+def _failed_solve(game, eps):
+    return {"success": False, "iterations": 7, "pair": None}
+
+
+class TestSolverMissExitCode:
+    def test_solve_hedge_miss_exits_one(self, stag_hunt_file, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setattr(cli, "solve_bimatrix_via_hedge", _failed_solve)
+        out = str(tmp_path / "eq.json")
+        assert main(["solve", stag_hunt_file, "--method", "hedge",
+                     "--out", out]) == 1
+        with open(out) as fh:
+            assert json.load(fh) == {"method": "hedge", "success": False,
+                                     "iterations": 7}
+
+    def test_symmetrize_miss_exits_one(self, stag_hunt_file, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setattr(cli, "solve_bimatrix_via_hedge", _failed_solve)
+        out = tmp_path / "sym"
+        assert main(["symmetrize", stag_hunt_file, "--out", str(out)]) == 1
+        with open(out / "pipeline_report.json") as fh:
+            report = json.load(fh)
+        assert not report["success"] and report["recovered_pair"] is None
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "a game must be a JSON object"),
+        ({"kind": "strategic", "strategy_counts": [2, 2]},
+         "strategic game is missing the key 'payoffs'"),
+        ({"kind": "bimatrix", "A": [[1.0]]},
+         "bimatrix game is missing the key 'B'"),
+        ({"kind": "strategic", "strategy_counts": [2, 2],
+          "payoffs": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 3},
+         "payoffs must be finite numbers"),
+        ({"kind": "strategic", "strategy_counts": [2, 3],
+          "payoffs": np.zeros((3, 2, 2)).tolist()},
+         "payoff table has shape (3, 2, 2)"),
+        ({"kind": "strategic", "strategy_counts": 2, "payoffs": []},
+         "malformed strategic game"),
+    ])
+    def test_analyze_graph_rejects(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert main(["analyze-graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_library_errors_are_not_config_errors(self, stag_hunt_file,
+                                                  monkeypatch):
+        def broken(game):
+            raise KeyError("bug")
+        monkeypatch.setattr(cli, "analyze", broken)
+        with pytest.raises(KeyError):
+            main(["analyze-graph", stag_hunt_file])
 
 
 class TestSymmetrize:

@@ -220,6 +220,17 @@ class TestStrategicGame:
                 assert sub.payoff((a, b), 0) == game.payoff(full, 0)
                 assert sub.payoff((a, b), 1) == game.payoff(full, 2)
 
+    def test_table_shape_contract(self):
+        flat = np.arange(12.0).reshape(6, 2)
+        game = StrategicGame((2, 3), flat)
+        assert game.table.shape == (2, 3, 2)
+        assert game.payoff((1, 0), 1) == flat[3, 1]
+        for shape in [(3, 2, 2), (12,), (2, 6)]:
+            with pytest.raises(ValueError, match="payoff table has shape"):
+                StrategicGame((2, 3), np.zeros(shape))
+        with pytest.raises(ValueError, match="at least one strategy"):
+            StrategicGame((2, 0), np.zeros((0, 2)))
+
     def test_reduced_game_rejects_bad_coalitions(self):
         game = StrategicGame((2, 2), np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
@@ -256,3 +267,11 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             game_from_dict({"kind": "extensive"})
+
+    def test_malformed_bimatrix_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            game_from_dict({"kind": "symmetric",
+                            "A": [[0.0, float("inf")], [1.0, 0.0]]})
+        with pytest.raises(ValueError, match="2-D"):
+            game_from_dict({"kind": "bimatrix", "A": [1.0, 2.0],
+                            "B": [1.0, 2.0]})

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from deploylab import graphs
 from deploylab.games import StrategicGame
-from deploylab.graphs import (DeploymentGraph, NEUTRAL, POSITIVE,
+from deploylab.graphs import (DeploymentGraph, NEUTRAL, POSITIVE, analyze,
                               better_response_walk, build_graph,
                               build_ordinal_potential, classify_acyclicity,
                               condensation, maximal_states, pure_nash,
                               strongly_maximal_equilibrium_classes)
 from deploylab.mechanisms import StagHuntSpec, build_stag_hunt
-from conftest import reachability_sccs, rng_for
+from conftest import (naive_deviation_arcs, naive_pure_nash,
+                      reachability_sccs, rng_for)
 
 # Row payoffs (1,2;2,0), column payoffs (0,0;0,1): a generalized ordinal
 # potential game with a unique (weak) pure Nash equilibrium that is not
@@ -61,6 +63,43 @@ class TestBuildGraph:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_graph(build_stag_hunt(STAG_SPEC), "mixed")
+
+
+def tie_heavy_games():
+    """Integer payoffs in {0, 1, 2}, so most deviations tie or differ by
+    exactly 1; some shapes give a player a single strategy."""
+    shapes = [(2, 2), (3, 3), (1, 3, 2), (2, 1, 3), (2, 2, 2), (3, 2, 2, 1)]
+    for k, counts in enumerate(shapes):
+        rng = rng_for(46, k)
+        n = len(counts)
+        yield StrategicGame(counts, rng.integers(0, 3, counts + (n,)))
+        u = rng.integers(0, 3, counts)
+        yield StrategicGame(counts, np.stack([u] * n, axis=-1))
+
+
+class TestDeviationGainParity:
+    @pytest.mark.parametrize("tie_tol", [0.0, 0.5, 1.0])
+    def test_arcs_and_nash_match_naive_loop(self, tie_tol):
+        for game in tie_heavy_games():
+            for kind in ("strict", "ordinal"):
+                graph = build_graph(game, kind, tie_tol)
+                assert graph.arcs == naive_deviation_arcs(game, kind,
+                                                          tie_tol)
+            assert list(pure_nash(game, tie_tol).items()) == \
+                list(naive_pure_nash(game, tie_tol).items())
+
+    def test_one_analysis_pass_per_game(self, monkeypatch):
+        calls = {"build_graph": 0, "condensation": 0, "pure_nash": 0}
+        for name in calls:
+            orig = getattr(graphs, name)
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(graphs, name, counted)
+        analyze(MS_GAME)
+        assert calls == {"build_graph": 2, "condensation": 2,
+                         "pure_nash": 1}
 
 
 class TestCondensation:

@@ -1,5 +1,7 @@
 """Stag hunts, network adoption, insurance/election, iterated dominance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,44 @@ from deploylab.graphs import (classify_acyclicity, maximal_states, pure_nash,
                               strongly_maximal_equilibrium_classes)
 from deploylab.mechanisms import (A, AdoptionNetwork, D, ElectionParams,
                                   InsuranceParams, StagHuntSpec, X, Y,
-                                  apply_election, apply_insurance,
-                                  build_stag_hunt, iterated_dominance,
-                                  network_adoption_game)
+                                  _dominates, apply_election,
+                                  apply_insurance, build_stag_hunt,
+                                  iterated_dominance, network_adoption_game)
+
+
+def naive_dominates(game, restriction, player, b, a, strict):
+    """Does b dominate a against every restricted profile of the other
+    players (weakly: never worse and once better)?  Explicit loop."""
+    others = [restriction[j] for j in range(game.player_count)
+              if j != player]
+    some_strict = False
+    for rest in itertools.product(*others):
+        s_a = rest[:player] + (a,) + rest[player:]
+        s_b = rest[:player] + (b,) + rest[player:]
+        ua = game.payoff(s_a, player)
+        ub = game.payoff(s_b, player)
+        if ub < ua or (strict and ub == ua):
+            return False
+        some_strict = some_strict or ub > ua
+    return some_strict
+
+
+def eliminate_strict_sequential(game):
+    """Survivors of sequential strict elimination: one dominated strategy
+    (lowest player, then lowest index) removed per step.  Strict
+    elimination is order-independent, so this must agree with the
+    round-synchronous schedule of iterated_dominance."""
+    restriction = [list(range(c)) for c in game.strategy_counts]
+    while True:
+        found = next(((i, a) for i in range(game.player_count)
+                      for a in restriction[i] for b in restriction[i]
+                      if b != a and naive_dominates(game, restriction,
+                                                    i, b, a, True)), None)
+        if found is None:
+            return restriction
+        i, a = found
+        restriction[i] = [s for s in restriction[i] if s != a]
+
 
 SPEC2 = StagHuntSpec(2, (-1.0, 10.0), 0.0)
 SPEC3 = StagHuntSpec(3, (-1.0, 2.0, 10.0), 0.0)
@@ -173,11 +210,39 @@ class TestElection:
 class TestIteratedDominance:
     def test_strict_order_independence_crosscheck(self):
         rng = np.random.default_rng(70)
-        for _ in range(10):
-            counts = (3, 3)
-            game = StrategicGame(counts, rng.random(counts + (2,)))
+        for counts in [(3, 3)] * 10 + [(2, 3, 2), (3, 2, 3), (1, 4, 2)]:
+            n = len(counts)
+            for table in (rng.random(counts + (n,)),
+                          rng.integers(0, 4, counts + (n,))):
+                game = StrategicGame(counts, table)
+                rec = iterated_dominance(game, "strict")
+                assert rec["kind"] == "strict"
+                assert rec["survivors"] == eliminate_strict_sequential(game)
+
+    def test_dominance_matches_naive_loop(self):
+        rng = np.random.default_rng(72)
+        for counts in [(3, 3), (2, 3, 2), (1, 3, 3), (3, 2, 2, 2)]:
+            n = len(counts)
+            game = StrategicGame(counts, rng.integers(0, 3, counts + (n,)))
+            restriction = [sorted(rng.choice(c, int(rng.integers(1, c + 1)),
+                                             replace=False).tolist())
+                           for c in counts]
+            for i in range(n):
+                for a in range(counts[i]):
+                    for b in range(counts[i]):
+                        for strict in (True, False):
+                            assert _dominates(game, restriction, i, b, a,
+                                              strict) == naive_dominates(
+                                game, restriction, i, b, a, strict)
+
+    def test_strict_order_independence_on_insurance(self):
+        for n, benefit in [(2, (-1.0, 10.0)), (3, (-1.0, 2.0, 10.0)),
+                           (3, (-1.0, 0.0, 10.0)), (4, (-2, -1, 3, 4))]:
+            game = apply_insurance(StagHuntSpec(n, benefit, 0.0),
+                                   InsuranceParams(0.5, 1.0))
             rec = iterated_dominance(game, "strict")
-            assert rec["kind"] == "strict"
+            assert rec["survivors"] == eliminate_strict_sequential(game)
+            assert rec["survivors"] == [[A]] * n
 
     def test_strict_never_removes_equilibrium_strategies(self):
         from deploylab.games import (BimatrixGame,
