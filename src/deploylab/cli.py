@@ -175,8 +175,9 @@ def _cmd_experiment(args):
         dimension=args.dimension, eps=args.eps, seed=args.seed,
         max_iters=args.max_iters, out_dir=args.out or ".",
         workers=args.workers)
-    report = expmod.run_experiment(config)
     formats = tuple(args.format.split(","))
+    expmod.check_report_formats(formats)
+    report = expmod.run_experiment(config)
     paths = expmod.emit_report(report, formats, config.out_dir)
     print("wrote %s" % ", ".join(paths))
     print("success rate %d/%d" % (report.successes, report.trials))

@@ -3,14 +3,12 @@ experiments, and deterministic report emission (JSON/CSV/SVG).
 
 Per-trial randomness is derived from (config.seed, trial_index), so any
 trial reproduces in isolation.  Reports are byte-deterministic for a
-given config; wall-clock times are kept in memory only and never
-serialized.
+given config: no record holds a wall-clock time.
 """
 
 import csv
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -105,26 +103,32 @@ _SEGMENT = 2000
 _SCHEDULE = LearningRateSchedule("power", 1.0, 0.5)
 
 
+def _restart_orbits(n, seed):
+    """(start, schedule) of each restart: uniform, then seeded draws."""
+    return ((np.ones(n) / n if r == 0
+             else _trial_rng(seed, r).dirichlet(np.ones(n)), _SCHEDULE)
+            for r in range(_RESTARTS))
+
+
 def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     """Approximate symmetric equilibrium of (C, C^T) by Hedge.
 
-    Restarts from random interior points within the iteration budget;
-    each restart checks the last iterate and several window averages of
-    the orbit against the equilibrium gap max(Cx) - x.Cx <= eps.
+    Restarts from random interior points within the iteration budget.
+    After each segment of each restart, the candidates of
+    hedge_candidates (the last iterate, the orbit's mean and the support
+    polish of each) are checked in turn against the equilibrium gap
+    max(Cx) - x.Cx <= eps; 'candidate' names the kind that passed.
     """
     C = np.asarray(C, dtype=float)
-    n = C.shape[0]
-    starts = ((np.ones(n) / n if r == 0
-               else _trial_rng(seed, r).dirichlet(np.ones(n)), _SCHEDULE)
-              for r in range(_RESTARTS))
     used = 0
-    for orbit, used, _, cand, gap in hedge_candidates(
-            C, starts, max_iters // _RESTARTS, _SEGMENT, (2, 4, 8)):
+    for orbit, used, kind, cand, gap in hedge_candidates(
+            C, _restart_orbits(C.shape[0], seed), max_iters // _RESTARTS,
+            _SEGMENT):
         if gap <= eps:
             return {"success": True, "strategy": cand, "iterations": used,
-                    "restarts": orbit + 1, "gap": gap}
+                    "restarts": orbit + 1, "gap": gap, "candidate": kind}
     return {"success": False, "strategy": None, "iterations": used,
-            "restarts": _RESTARTS, "gap": None}
+            "restarts": _RESTARTS, "gap": None, "candidate": None}
 
 
 def _trial_random_symmetric(config, t):
@@ -216,11 +220,7 @@ _TRIALS = {
 
 def _run_one(args):
     config, t = args
-    fn = _TRIALS[config.experiment]
-    t0 = time.perf_counter()
-    rec = fn(config, t)
-    rec["wall_time"] = time.perf_counter() - t0
-    return rec
+    return _TRIALS[config.experiment](config, t)
 
 
 def run_experiment(config):
@@ -238,10 +238,6 @@ def run_experiment(config):
     records.sort(key=lambda r: r["trial"])
     successes = sum(1 for r in records if r["outcome"])
     return ExperimentReport(asdict(config), records, successes)
-
-
-def _strip_times(record):
-    return {k: v for k, v in record.items() if k != "wall_time"}
 
 
 def _svg_plot(values, title, width=480, height=240):
@@ -268,19 +264,31 @@ def _svg_plot(values, title, width=480, height=240):
     return "\n".join(lines)
 
 
+REPORT_FORMATS = ("json", "csv", "svg")
+
+
+def check_report_formats(formats):
+    """Raise ValueError naming any format not in REPORT_FORMATS."""
+    unknown = [f for f in formats if f not in REPORT_FORMATS]
+    if unknown:
+        raise ValueError("unknown report format %s; choose from %s"
+                         % (", ".join(map(repr, unknown)),
+                            ", ".join(REPORT_FORMATS)))
+
+
 def emit_report(report, formats=("json",), out_dir="."):
     """Write report files; returns the paths written.
 
-    Wall-clock fields are dropped so identical configs yield identical
-    bytes.
+    An unknown format raises ValueError before any file is written.
     """
+    check_report_formats(formats)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     base = os.path.join(out_dir, report.config["experiment"])
     if "json" in formats:
         path = base + ".json"
         payload = {"config": report.config,
-                   "records": [_strip_times(r) for r in report.records],
+                   "records": report.records,
                    "successes": report.successes,
                    "trials": report.trials,
                    "success_rate": report.success_rate}

@@ -89,7 +89,7 @@ def condensation(graph):
     low = [0] * n
     on_stack = [False] * n
     stack = []
-    comp_of = np.full(n, -1, dtype=np.int64)
+    comp_of = [-1] * n
     components = []
     counter = 0
     for root in range(n):
@@ -131,13 +131,16 @@ def condensation(graph):
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
     dag_arcs = set()
-    for v in range(n):
-        for w, _ in graph.arcs[v]:
-            if comp_of[v] != comp_of[w]:
-                dag_arcs.add((int(comp_of[v]), int(comp_of[w])))
+    for v, arcs in enumerate(graph.arcs):
+        cv = comp_of[v]
+        for w, _ in arcs:
+            cw = comp_of[w]
+            if cv != cw:
+                dag_arcs.add((cv, cw))
     has_out = {a for a, _ in dag_arcs}
     sinks = {c for c in range(len(components)) if c not in has_out}
-    return Condensation(comp_of, components, dag_arcs, sinks)
+    return Condensation(np.array(comp_of, dtype=np.int64), components,
+                        dag_arcs, sinks)
 
 
 def pure_nash(game, tol=0.0):

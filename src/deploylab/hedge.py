@@ -4,15 +4,17 @@ T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
-hedge_candidates, the segmented candidate engine of both Hedge solvers.
+hedge_candidates, the segmented candidate engine of both Hedge solvers:
+Hedge proposes candidates, and support_polish solves each one's leading
+supports exactly.
 """
 
 import math
 
 import numpy as np
 
-from .games import (DEFAULT_TOL, as_operator, carrier, is_interior,
-                    payoff_vector, validate_mixed)
+from .games import (DEFAULT_TOL, _equalization_system, as_operator, carrier,
+                    is_interior, payoff_vector, validate_mixed)
 
 FIXED_POINT_DISPLACEMENT = 1e-14
 
@@ -211,21 +213,58 @@ def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
     return trace
 
 
-def hedge_candidates(C, orbits, per_orbit, segment, fracs):
+def _gap(C, x):
+    p = C @ x
+    return float(p.max() - x @ p)
+
+
+def support_polish(C, x):
+    """The best symmetric equalizer on the leading supports of x.
+
+    Sorts x's weights in descending order (stable) and, for r = 1..n,
+    solves the equalization system of C on the top-r support S: z on S
+    with (Cz)_i equal for every i in S and sum z = 1.  Singular systems
+    and solutions with a negative weight are skipped.  Returns (z, gap)
+    for the solution of smallest gap max(Cz) - z.Cz, or None.  Adding a
+    constant to a column of C adds the same amount to every payoff, so
+    it changes neither z nor its gap.
+    """
+    n = len(x)
+    order = np.argsort(-x, kind="stable")
+    best = None
+    for r in range(1, n + 1):
+        S = order[:r]
+        eqs, rhs = _equalization_system(C, S, S)
+        try:
+            sol = np.linalg.solve(eqs, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.isfinite(sol).all() or (sol[:r] < 0).any():
+            continue
+        z = np.zeros(n)
+        z[S] = sol[:r]
+        gap = _gap(C, z)
+        if best is None or gap < best[1]:
+            best = (z, gap)
+    return best
+
+
+def hedge_candidates(C, orbits, per_orbit, segment):
     """Candidate equilibria along Hedge orbits, run in segments.
 
     orbits yields (interior start, schedule) pairs; each orbit runs for
     per_orbit iterations, or until a fixed-point stop.  After every
-    segment this yields (orbit, iterations, kind, strategy, gap) for the
-    kinds 'last' (the current iterate), 'all' (the orbit's mean) and
-    'tail<f>' for each f in fracs (the mean since the segment boundary
-    nearest to the last 1/f of the orbit).  iterations counts every
-    iteration so far over all orbits; gap is max(Cx) - x.Cx.
+    segment this yields (orbit, iterations, kind, strategy, gap) for
+    Hedge's own kinds 'last' (the current iterate) and 'all' (the
+    orbit's mean), then for 'polish-last' and 'polish-all', the
+    support_polish of each (skipped when no support gives a solution).
+    iterations counts every iteration so far over all orbits; gap is
+    max(Cx) - x.Cx.  The generator is lazy: a consumer that stops at a
+    Hedge kind never pays for its polish.
     """
     used = 0
     for orbit, (x, schedule) in enumerate(orbits):
         running = np.zeros(len(x))
-        checkpoints = [(0, np.zeros(len(x)))]
         done = 0
         while done < per_orbit:
             chunk = min(segment, per_orbit - done)
@@ -235,17 +274,13 @@ def hedge_candidates(C, orbits, per_orbit, segment, fracs):
             running += trace.iterate_sum
             done += trace.count
             used += trace.count
-            checkpoints.append((done, running.copy()))
-            candidates = [("last", x), ("all", running / done)]
-            for frac in fracs:
-                cut = done - done // frac
-                k0c, s0 = min(checkpoints, key=lambda cs: abs(cs[0] - cut))
-                if done - k0c > 0:
-                    candidates.append(("tail%d" % frac,
-                                       (running - s0) / (done - k0c)))
+            candidates = (("last", x), ("all", running / done))
             for kind, cand in candidates:
-                p = C @ cand
-                yield orbit, used, kind, cand, float(p.max() - cand @ p)
+                yield orbit, used, kind, cand, _gap(C, cand)
+            for kind, cand in candidates:
+                polished = support_polish(C, cand)
+                if polished is not None:
+                    yield (orbit, used, "polish-" + kind) + polished
             if trace.stop_reason == "fixed-point":
                 break
 

@@ -231,11 +231,13 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
 
     Runs Hedge on the [0,1]-rescaled GKT game from the uniform start,
     restarting with the next schedule when a budget slice is exhausted.
-    Candidate strategies are the last iterate and window averages of the
-    orbit; each candidate is purged to a well-supported point and the
-    whole epsilon chain plus the final bimatrix predicate are
-    re-verified before a pair is returned.  On failure the diagnostics
-    report the best gap achieved; no pair is fabricated.
+    Candidate strategies come from hedge_candidates: the last iterate,
+    the orbit's mean and the support polish of each.  Each candidate is
+    purged to a well-supported point and the whole epsilon chain plus
+    the final bimatrix predicate are re-verified before a pair is
+    returned; diagnostics['candidate'] names the kind that passed.  On
+    failure the diagnostics report the best gap achieved; no pair is
+    fabricated.
     """
     m, n_cols = game.shape
     if m == 1 and n_cols == 1:
@@ -256,8 +258,7 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     best_gap = np.inf
     last = None
     for orbit, total_iters, kind, cand, gap in hedge_candidates(
-            C0, orbits, max_iters // len(DEFAULT_RESTARTS), _SEGMENT,
-            (2, 4)):
+            C0, orbits, max_iters // len(DEFAULT_RESTARTS), _SEGMENT):
         if kind == "last":
             last = cand
         best_gap = min(best_gap, gap)
@@ -283,6 +284,7 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
                     "verdicts": report,
                     "diagnostics": {
                         "schedule": repr(DEFAULT_RESTARTS[orbit]),
+                        "candidate": kind,
                         "best_gap_on_unit": best_gap,
                     },
                 }

@@ -138,6 +138,7 @@ def test_criterion_04_rps_repulsion_and_averaging():
 
 def test_criterion_05_random_symmetric_study():
     failures = []
+    polished = 0
     for trial in range(100):
         rng = rng_for(105, trial)
         C = rng.random((10, 10))
@@ -146,8 +147,12 @@ def test_criterion_05_random_symmetric_study():
             C, res["strategy"], 1e-3, "symmetric")
         if not good:
             failures.append(trial)
+        elif res["candidate"].startswith("polish-"):
+            polished += 1
     ok = len(failures) <= 5
-    detail = "%d/100 solved" % (100 - len(failures))
+    solved = 100 - len(failures)
+    detail = "%d/100 solved (%d hedge, %d polish)" % (
+        solved, solved - polished, polished)
     if failures:
         detail += "; failing seeds %r" % (failures,)
     record_criterion(5, ok, detail)

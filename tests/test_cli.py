@@ -182,6 +182,17 @@ class TestExperiment:
         assert (tmp_path / "stag-hunt-suite.json").exists()
         assert (tmp_path / "stag-hunt-suite.csv").exists()
 
+    def test_unknown_format_exits_two(self, tmp_path, capsys, monkeypatch):
+        def no_trials(config):
+            raise AssertionError("trials ran before the format check")
+        monkeypatch.setattr(cli.expmod, "run_experiment", no_trials)
+        code = main(["experiment", "--experiment", "stag-hunt-suite",
+                     "--trials", "2", "--dimension", "3",
+                     "--format", "json,xyz", "--out", str(tmp_path)])
+        assert code == 2
+        assert "'xyz'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "--experiment", "unknown"])

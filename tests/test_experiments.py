@@ -6,10 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from deploylab.experiments import (ExperimentConfig, emit_report,
+from deploylab.experiments import (_RESTARTS, _SEGMENT, ExperimentConfig,
+                                   _restart_orbits, emit_report,
                                    gen_random_game, hedge_symmetric_solve,
                                    run_experiment)
 from deploylab.games import is_approx_equilibrium
+from deploylab.hedge import hedge_candidates
 
 
 class TestGenRandomGame:
@@ -39,13 +41,36 @@ class TestHedgeSymmetricSolve:
         assert res["gap"] <= 1e-3
 
     def test_pinned_restart_after_fixed_point_stop(self):
-        # criterion-5 game 4: restarts 2 and 3 end on a fixed-point stop
-        # and restart 4 solves it
+        # criterion-5 game 4 on Hedge's own kinds alone: the second and
+        # third restarts end on a fixed-point stop and the fourth solves it
+        C = np.random.default_rng([105, 4]).random((10, 10))
+        first = next((orbit, used) for orbit, used, kind, _, gap
+                     in hedge_candidates(C, _restart_orbits(10, 4),
+                                         10**6 // _RESTARTS, _SEGMENT)
+                     if not kind.startswith("polish-") and gap <= 1e-3)
+        assert first == (3, 238713)
+
+    def test_pinned_polished_solve(self):
         C = np.random.default_rng([105, 4]).random((10, 10))
         res = hedge_symmetric_solve(C, 1e-3, max_iters=10**6, seed=4)
         assert res["success"]
-        assert res["iterations"] == 238713
-        assert res["restarts"] == 4
+        assert res["iterations"] == 2000
+        assert res["restarts"] == 1
+        assert res["candidate"] == "polish-last"
+
+    @pytest.mark.parametrize("trial", [5, 54, 82])
+    def test_criterion_5_hard_games_solved(self, trial):
+        # Hedge alone never reached the 1e-3 gap on these three
+        C = np.random.default_rng([105, trial]).random((10, 10))
+        res = hedge_symmetric_solve(C, 1e-3, max_iters=10**6, seed=trial)
+        assert res["success"] and res["gap"] <= 1e-3
+        assert is_approx_equilibrium(C, res["strategy"], 1e-3, "symmetric")
+
+    def test_failure_names_no_candidate(self):
+        # a budget under one iteration per restart runs no segment
+        C = np.random.default_rng([105, 1]).random((10, 10))
+        res = hedge_symmetric_solve(C, 1e-3, max_iters=_RESTARTS - 1)
+        assert not res["success"] and res["candidate"] is None
 
 
 class TestRunExperiment:
@@ -68,9 +93,7 @@ class TestRunExperiment:
         serial = run_experiment(ExperimentConfig(**base))
         monkeypatch.setenv("DEPLOYLAB_WORKERS", "2")
         parallel = run_experiment(ExperimentConfig(**base))
-        strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_time"}
-                              for r in recs]
-        assert strip(serial.records) == strip(parallel.records)
+        assert serial.records == parallel.records
 
     def test_failure_records_carry_seeds(self):
         config = ExperimentConfig(experiment="rps-repulsion", trials=3,
@@ -111,3 +134,9 @@ class TestEmitReport:
         with open(paths[2]) as fh:
             assert fh.readline().startswith("<svg")
         assert all(os.path.exists(p) for p in paths)
+
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="'xyz'"):
+            emit_report(self._report(), ("json", "xyz"), str(out))
+        assert not out.exists()

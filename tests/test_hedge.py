@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deploylab.games import PayoffOperator
+from deploylab.games import (BimatrixGame, PayoffOperator,
+                             support_enumeration_equilibria)
 from deploylab.hedge import (LearningRateSchedule, average_iterates,
                              check_convexity_bounds, hedge_candidates,
                              hedge_step, is_fixed_point, relative_entropy,
-                             rescale_to_unit, run_hedge)
-from conftest import dominant_column_game, random_simplex, rng_for
+                             rescale_to_unit, run_hedge, support_polish)
+from conftest import (dominant_column_game, naive_matvec, random_simplex,
+                      rng_for)
 
 
 def naive_hedge_step(C, x, alpha):
@@ -236,38 +238,29 @@ class TestHedgeCandidates:
     def test_kind_order(self):
         C = rng_for(24).random((3, 3))
         orbits = [(np.ones(3) / 3, LearningRateSchedule("power", 1.0, 0.5))]
-        out = list(hedge_candidates(C, orbits, 40, 10, (2, 4)))
+        out = list(hedge_candidates(C, orbits, 40, 10))
         by_segment = {}
         for orbit, iters, kind, _, _ in out:
             assert orbit == 0
             by_segment.setdefault(iters, []).append(kind)
         assert sorted(by_segment) == [10, 20, 30, 40]
-        # after one segment the nearest checkpoint to the last quarter is
-        # the segment's own end, so that window is empty and skipped
-        assert by_segment[10] == ["last", "all", "tail2"]
-        for iters in (20, 30, 40):
-            assert by_segment[iters] == ["last", "all", "tail2", "tail4"]
+        for kinds in by_segment.values():
+            assert kinds == ["last", "all", "polish-last", "polish-all"]
 
-    def test_windows_match_plain_means(self):
+    def test_hedge_kinds_match_plain_means(self):
         C = rng_for(25).random((4, 4))
         x0 = np.ones(4) / 4
         sched = LearningRateSchedule("power", 1.0, 0.5)
-        segment, per_orbit = 7, 50
-        full = run_hedge(C, x0, sched, max_iters=per_orbit, record_every=1)
-        xs = np.array(full.iterates)  # iterates 0..per_orbit
+        full = run_hedge(C, x0, sched, max_iters=50, record_every=1)
+        xs = np.array(full.iterates)  # iterates 0..50
         for _, done, kind, cand, gap in hedge_candidates(
-                C, [(x0, sched)], per_orbit, segment, (2, 4, 8)):
+                C, [(x0, sched)], 50, 7):
             if kind == "last":
                 expect = xs[done]
             elif kind == "all":
                 expect = xs[:done].mean(axis=0)
             else:
-                cut = done - done // int(kind[4:])
-                marks = [j * segment for j in range(done // segment + 1)]
-                if done % segment:
-                    marks.append(done)
-                start = min(marks, key=lambda k: abs(k - cut))
-                expect = xs[start:done].mean(axis=0)
+                continue
             assert np.allclose(cand, expect, rtol=0, atol=1e-12), (done, kind)
             p = C @ expect
             assert gap == pytest.approx(p.max() - expect @ p, abs=1e-12)
@@ -280,7 +273,7 @@ class TestHedgeCandidates:
         x0 = np.array([0.5, 0.5])
         orbits = [(x0, LearningRateSchedule("constant", 1.0)),
                   (x0, LearningRateSchedule("constant", 1e-6))]
-        out = list(hedge_candidates(C, orbits, 1000, 100, (2,)))
+        out = list(hedge_candidates(C, orbits, 1000, 100))
         first = [o for o in out if o[0] == 0]
         second = [o for o in out if o[0] == 1]
         stopped_at = first[-1][1]
@@ -289,6 +282,53 @@ class TestHedgeCandidates:
         assert first[0][2] == "last" and first[0][4] < 1e-13
         assert [o[1] for o in second if o[2] == "last"] == \
             [stopped_at + 100 * j for j in range(1, 11)]
+
+
+class TestSupportPolish:
+    def test_polish_is_an_enumerated_equilibrium(self):
+        sched = LearningRateSchedule("power", 1.0, 0.5)
+        for trial in range(12):
+            rng = rng_for(26, trial)
+            n = int(rng.integers(2, 6))
+            C = rng.random((n, n))
+            eqs = support_enumeration_equilibria(BimatrixGame.symmetric(C))
+            exact = 0
+            for _, _, kind, z, gap in hedge_candidates(
+                    C, [(np.ones(n) / n, sched)], 1000, 100):
+                if not kind.startswith("polish-"):
+                    continue
+                assert (z >= 0).all()
+                assert z.sum() == pytest.approx(1.0, abs=1e-12)
+                p = naive_matvec(C, z)
+                assert gap == pytest.approx(
+                    max(p) - sum(zi * pi for zi, pi in zip(z, p)), abs=1e-12)
+                if gap <= 1e-9:
+                    exact += 1
+                    assert any(np.allclose(a, z, atol=1e-9) and
+                               np.allclose(b, z, atol=1e-9)
+                               for a, b in eqs), (trial, z)
+            assert exact > 0, trial
+
+    def test_smallest_gap_wins_and_smaller_support_breaks_ties(self):
+        # top-1 support: pure strategy 0, gap 1; top-2: (2/3, 1/3), gap 0
+        C = np.array([[0.0, 2.0], [1.0, 0.0]])
+        z, gap = support_polish(C, np.array([0.9, 0.1]))
+        assert np.allclose(z, [2 / 3, 1 / 3]) and gap == pytest.approx(0.0)
+        # coordination: pure strategy 0 and (1/2, 1/2) both have gap 0
+        z, gap = support_polish(np.eye(2), np.array([0.7, 0.3]))
+        assert np.array_equal(z, [1.0, 0.0]) and gap == 0.0
+
+    def test_column_shift_invariance(self):
+        for trial in range(20):
+            rng = rng_for(27, trial)
+            n = int(rng.integers(2, 6))
+            C = rng.random((n, n))
+            x = random_simplex(rng, n)
+            shifted = C + rng.uniform(-5.0, 5.0, size=n)  # c_j on column j
+            z, gap = support_polish(C, x)
+            z2, gap2 = support_polish(shifted, x)
+            assert np.allclose(z, z2, rtol=0, atol=1e-9), trial
+            assert gap2 == pytest.approx(gap, abs=1e-9), trial
 
 
 class TestConvexityBounds:

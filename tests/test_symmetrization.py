@@ -197,6 +197,8 @@ class TestPipeline:
         assert res["verdicts"]["bimatrix_on_original"]
         chain = res["eps_chain"]
         assert chain["ws_on_unit"] < chain["ws_on_gkt"] < chain["target_eps"]
+        assert res["diagnostics"]["candidate"] in (
+            "last", "all", "polish-last", "polish-all")
 
     def test_eps_constraint_enforced(self):
         with pytest.raises(ValueError):
