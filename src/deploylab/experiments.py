@@ -113,12 +113,18 @@ def _restart_orbits(n, seed):
 def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     """Approximate symmetric equilibrium of (C, C^T) by Hedge.
 
-    Restarts from random interior points within the iteration budget.
-    After each segment of each restart, the candidates of
+    Restarts from random interior points; each of the _RESTARTS
+    restarts gets max_iters // _RESTARTS iterations, and the remainder
+    max_iters % _RESTARTS is unused.  A budget below _RESTARTS raises
+    ValueError.  At each checkpoint of each restart (iterations 100,
+    200, 400, 800, 1600, then every 2,000), the candidates of
     hedge_candidates (the last iterate, the orbit's mean and the support
     polish of each) are checked in turn against the equilibrium gap
     max(Cx) - x.Cx <= eps; 'candidate' names the kind that passed.
     """
+    if max_iters < _RESTARTS:
+        raise ValueError("max_iters %d is below one iteration per restart "
+                         "(%d restarts)" % (max_iters, _RESTARTS))
     C = np.asarray(C, dtype=float)
     used = 0
     for orbit, used, kind, cand, gap in hedge_candidates(

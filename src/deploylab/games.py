@@ -120,6 +120,8 @@ class BimatrixGame:
         if A.ndim != 2 or A.shape != B.shape:
             raise ValueError("payoff matrices must be 2-D and of identical "
                              "shape")
+        if A.size == 0:
+            raise ValueError("every player needs at least one strategy")
         self.A = A
         self.B = B
 
@@ -357,7 +359,7 @@ def game_from_dict(data):
     if not isinstance(data, dict):
         raise ValueError("a game must be a JSON object")
     kind = data.get("kind")
-    if kind not in _GAME_KEYS:
+    if not isinstance(kind, str) or kind not in _GAME_KEYS:
         raise ValueError("unknown game kind %r" % (kind,))
     for key in _GAME_KEYS[kind]:
         if key not in data:
@@ -369,7 +371,7 @@ def game_from_dict(data):
             game = BimatrixGame(data["A"], data["B"])
         else:
             game = BimatrixGame.symmetric(data["A"])
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError("malformed %s game: %s" % (kind, exc)) from None
     tables = [game.table] if kind == "strategic" else [game.A, game.B]
     if not all(np.isfinite(t).all() for t in tables):

@@ -4,7 +4,7 @@ T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
-hedge_candidates, the segmented candidate engine of both Hedge solvers:
+hedge_candidates, the candidate engine of both Hedge solvers:
 Hedge proposes candidates, and support_polish solves each one's leading
 supports exactly.
 """
@@ -17,6 +17,7 @@ from .games import (DEFAULT_TOL, _equalization_system, as_operator, carrier,
                     is_interior, payoff_vector, validate_mixed)
 
 FIXED_POINT_DISPLACEMENT = 1e-14
+_FIRST_CHECK = 100  # first checkpoint of each orbit in hedge_candidates
 
 
 class LearningRateSchedule:
@@ -189,19 +190,22 @@ def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
     M = op.matrix if op.kind == "linear-matrix" else None
     for k in range(max_iters):
         p = M @ x if M is not None else payoff_vector(op, x)
-        payoff = float(x @ p)
+        # the payoff only feeds recorded rows
+        payoff = float(x @ p) if (k0 + k) % record_every == 0 else None
         re_ref = None if reference is None else relative_entropy(reference, x)
         rate = schedule.rate(k0 + k)
         trace._record(k0 + k, x, rate, payoff, re_ref)
         if stop_re is not None and re_ref is not None and re_ref < stop_re:
-            trace._record_final(k0 + k, x, rate, payoff, re_ref, in_sum=True)
+            trace._record_final(k0 + k, x, rate, float(x @ p), re_ref,
+                                in_sum=True)
             trace.stop_reason = "converged"
             return trace
         z = rate * p
         w = x * np.exp(z - z.max())
         x_next = w / w.sum()
         if np.abs(x_next - x).max() < FIXED_POINT_DISPLACEMENT:
-            trace._record_final(k0 + k, x, rate, payoff, re_ref, in_sum=True)
+            trace._record_final(k0 + k, x, rate, float(x @ p), re_ref,
+                                in_sum=True)
             trace.stop_reason = "fixed-point"
             return trace
         x = x_next
@@ -250,12 +254,15 @@ def support_polish(C, x):
 
 
 def hedge_candidates(C, orbits, per_orbit, segment):
-    """Candidate equilibria along Hedge orbits, run in segments.
+    """Candidate equilibria along Hedge orbits, checked on a doubling ramp.
 
     orbits yields (interior start, schedule) pairs; each orbit runs for
-    per_orbit iterations, or until a fixed-point stop.  After every
-    segment this yields (orbit, iterations, kind, strategy, gap) for
-    Hedge's own kinds 'last' (the current iterate) and 'all' (the
+    per_orbit iterations, or until a fixed-point stop.  The orbit pauses
+    at its checkpoints, the iteration counts 100, 200, 400, ... below
+    segment and then every multiple of segment, capped at per_orbit, so
+    an early orbit is checked often and a long one once per segment.  At
+    each checkpoint this yields (orbit, iterations, kind, strategy, gap)
+    for Hedge's own kinds 'last' (the current iterate) and 'all' (the
     orbit's mean), then for 'polish-last' and 'polish-all', the
     support_polish of each (skipped when no support gives a solution).
     iterations counts every iteration so far over all orbits; gap is
@@ -266,8 +273,9 @@ def hedge_candidates(C, orbits, per_orbit, segment):
     for orbit, (x, schedule) in enumerate(orbits):
         running = np.zeros(len(x))
         done = 0
+        check = min(_FIRST_CHECK, segment)
         while done < per_orbit:
-            chunk = min(segment, per_orbit - done)
+            chunk = min(check, per_orbit) - done
             trace = run_hedge(C, x, schedule, max_iters=chunk,
                               record_every=chunk, k0=done)
             x = trace.final
@@ -283,6 +291,8 @@ def hedge_candidates(C, orbits, per_orbit, segment):
                     yield (orbit, used, "polish-" + kind) + polished
             if trace.stop_reason == "fixed-point":
                 break
+            check = (2 * check if 2 * check < segment
+                     else (check // segment + 1) * segment)
 
 
 def average_iterates(trace, window="all"):

@@ -231,14 +231,21 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
 
     Runs Hedge on the [0,1]-rescaled GKT game from the uniform start,
     restarting with the next schedule when a budget slice is exhausted.
-    Candidate strategies come from hedge_candidates: the last iterate,
-    the orbit's mean and the support polish of each.  Each candidate is
-    purged to a well-supported point and the whole epsilon chain plus
-    the final bimatrix predicate are re-verified before a pair is
-    returned; diagnostics['candidate'] names the kind that passed.  On
-    failure the diagnostics report the best gap achieved; no pair is
-    fabricated.
+    Each of the len(DEFAULT_RESTARTS) schedules gets a slice of
+    max_iters // len(DEFAULT_RESTARTS) iterations, and the remainder is
+    unused; a budget below one iteration per schedule raises ValueError.
+    Candidate strategies come from hedge_candidates at each checkpoint
+    (iterations 100, 200, ..., 12,800, then every 20,000): the last
+    iterate, the orbit's mean and the support polish of each.  Each
+    candidate is purged to a well-supported point and the whole epsilon
+    chain plus the final bimatrix predicate are re-verified before a
+    pair is returned; diagnostics['candidate'] names the kind that
+    passed.  On failure the diagnostics report the best gap achieved;
+    no pair is fabricated.
     """
+    if max_iters < len(DEFAULT_RESTARTS):
+        raise ValueError("max_iters %d is below one iteration per schedule "
+                         "(%d schedules)" % (max_iters, len(DEFAULT_RESTARTS)))
     m, n_cols = game.shape
     if m == 1 and n_cols == 1:
         pair = (np.array([1.0]), np.array([1.0]))

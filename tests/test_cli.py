@@ -193,6 +193,14 @@ class TestExperiment:
         assert "'xyz'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_budget_below_restarts_exits_two(self, tmp_path, capsys):
+        code = main(["experiment", "--experiment", "random-symmetric-hedge",
+                     "--trials", "1", "--max-iters", "5",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "below one iteration per restart" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "--experiment", "unknown"])

@@ -54,7 +54,7 @@ class TestHedgeSymmetricSolve:
         C = np.random.default_rng([105, 4]).random((10, 10))
         res = hedge_symmetric_solve(C, 1e-3, max_iters=10**6, seed=4)
         assert res["success"]
-        assert res["iterations"] == 2000
+        assert res["iterations"] == 100  # the first checkpoint
         assert res["restarts"] == 1
         assert res["candidate"] == "polish-last"
 
@@ -67,10 +67,19 @@ class TestHedgeSymmetricSolve:
         assert is_approx_equilibrium(C, res["strategy"], 1e-3, "symmetric")
 
     def test_failure_names_no_candidate(self):
-        # a budget under one iteration per restart runs no segment
-        C = np.random.default_rng([105, 1]).random((10, 10))
-        res = hedge_symmetric_solve(C, 1e-3, max_iters=_RESTARTS - 1)
+        # criterion-5 game 71 is not solved in 100 iterations per
+        # restart; the remainder of the budget is unused
+        C = np.random.default_rng([105, 71]).random((10, 10))
+        res = hedge_symmetric_solve(
+            C, 1e-3, max_iters=100 * _RESTARTS + _RESTARTS - 1, seed=71)
         assert not res["success"] and res["candidate"] is None
+        assert res["iterations"] == 100 * _RESTARTS
+        assert res["restarts"] == _RESTARTS
+
+    def test_budget_below_restarts_rejected(self):
+        C = np.random.default_rng([105, 1]).random((10, 10))
+        with pytest.raises(ValueError, match="below one iteration"):
+            hedge_symmetric_solve(C, 1e-3, max_iters=_RESTARTS - 1)
 
 
 class TestRunExperiment:

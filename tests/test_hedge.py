@@ -213,6 +213,19 @@ class TestRunHedge:
         second = run_hedge(C, first.final, sched, max_iters=35, k0=25)
         assert np.allclose(second.final, whole.final, atol=1e-12)
 
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_recorded_payoffs_match_recomputation(self, record_every):
+        # a max-iters run, and a dominant row that stops on a fixed point
+        for M, stop in ((rng_for(28).random((4, 4)), "max-iters"),
+                        (np.array([[1.0, 1.0], [0.0, 0.0]]), "fixed-point")):
+            trace = run_hedge(M, np.ones(len(M)) / len(M),
+                              LearningRateSchedule("constant", 1.0),
+                              max_iters=100, record_every=record_every, k0=3)
+            assert trace.stop_reason == stop
+            assert len(trace.payoffs) == len(trace.iterates)
+            for x, pay in zip(trace.iterates, trace.payoffs):
+                assert pay == float(x @ (M @ x))
+
     def test_csv_trace_format(self, tmp_path):
         C = rng_for(21).random((3, 3))
         sched = LearningRateSchedule("harmonic", 1.0)
@@ -264,6 +277,51 @@ class TestHedgeCandidates:
             assert np.allclose(cand, expect, rtol=0, atol=1e-12), (done, kind)
             p = C @ expect
             assert gap == pytest.approx(p.max() - expect @ p, abs=1e-12)
+
+    @staticmethod
+    def _checkpoints(per_orbit, segment):
+        # at rate 1e-4 the orbit stays far from any fixed-point stop
+        C = rng_for(29).random((3, 3))
+        orbits = [(np.ones(3) / 3, LearningRateSchedule("constant", 1e-4))]
+        return sorted({iters for _, iters, _, _, _
+                       in hedge_candidates(C, orbits, per_orbit, segment)})
+
+    def test_doubling_ramp_then_segments(self):
+        assert self._checkpoints(9000, 2000) == \
+            [100, 200, 400, 800, 1600, 2000, 4000, 6000, 8000, 9000]
+
+    @pytest.mark.parametrize("per_orbit, segment", [
+        (40, 10), (50, 7), (1000, 100), (250, 100), (300, 150),
+        (9000, 2000), (50000, 20000), (1600, 1600)])
+    def test_old_grid_is_kept(self, per_orbit, segment):
+        got = self._checkpoints(per_orbit, segment)
+        old = sorted(set(list(range(segment, per_orbit, segment)) +
+                         [per_orbit]))
+        assert set(old) <= set(got)
+        extra = [c for c in got if c not in old]
+        assert extra == [100 * 2 ** j for j in range(len(extra))]
+        assert all(c < segment for c in extra)
+        if segment <= 100:
+            assert got == old
+
+    def test_ramp_kinds_match_plain_means(self):
+        C = rng_for(30).random((4, 4))
+        x0 = np.ones(4) / 4
+        sched = LearningRateSchedule("power", 1.0, 0.5)
+        full = run_hedge(C, x0, sched, max_iters=3000, record_every=1)
+        xs = np.array(full.iterates)  # iterates 0..3000
+        seen = set()
+        for _, done, kind, cand, _ in hedge_candidates(
+                C, [(x0, sched)], 3000, 2000):
+            if kind == "last":
+                expect = xs[done]
+            elif kind == "all":
+                expect = xs[:done].mean(axis=0)
+            else:
+                continue
+            seen.add(done)
+            assert np.allclose(cand, expect, rtol=0, atol=1e-12), (done, kind)
+        assert sorted(seen) == [100, 200, 400, 800, 1600, 2000, 3000]
 
     def test_fixed_point_ends_orbit_only(self):
         # a dominant row: at rate 1 the orbit reaches the pure fixed point

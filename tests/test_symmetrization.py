@@ -5,7 +5,8 @@ import pytest
 
 from deploylab.games import (BimatrixGame, is_approx_equilibrium,
                              support_enumeration_equilibria)
-from deploylab.symmetrization import (EpsilonBudget, approx_to_well_supported,
+from deploylab.symmetrization import (DEFAULT_RESTARTS, EpsilonBudget,
+                                      approx_to_well_supported,
                                       gkt_symmetrize, normalize_bimatrix,
                                       recover_equilibria,
                                       solve_bimatrix_via_hedge)
@@ -203,6 +204,11 @@ class TestPipeline:
     def test_eps_constraint_enforced(self):
         with pytest.raises(ValueError):
             solve_bimatrix_via_hedge(STAG_HUNT, 0.5)
+
+    def test_budget_below_schedules_rejected(self):
+        with pytest.raises(ValueError, match="below one iteration"):
+            solve_bimatrix_via_hedge(STAG_HUNT, 0.05,
+                                     max_iters=len(DEFAULT_RESTARTS) - 1)
 
     def test_random_3x3_roundtrip(self):
         rng = rng_for(68)
