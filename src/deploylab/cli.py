@@ -7,8 +7,7 @@
     deploylab experiment --experiment NAME [--trials T] [--dimension D] ...
 
 Exit codes: 0 success, 1 a solver or experiment missed its target, 2
-configuration or input error.  DEPLOYLAB_WORKERS overrides the experiment
-worker count.
+configuration or input error.  --workers must be at least 1.
 """
 
 import argparse
@@ -75,13 +74,14 @@ def _cmd_symmetrize(args):
     game = load_game(args.game)
     if not isinstance(game, BimatrixGame):
         raise ValueError("symmetrize expects a bimatrix or symmetric game")
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    # the solver validates the input, so an input error writes no file
+    res = solve_bimatrix_via_hedge(game, args.eps)
     norm, record = normalize_bimatrix(game)
     gkt = gkt_symmetrize(norm)
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
     save_game(BimatrixGame.symmetric(gkt.C),
               os.path.join(out_dir, "gkt_game.json"))
-    res = solve_bimatrix_via_hedge(game, args.eps)
     report = {
         "success": res["success"],
         "iterations": res["iterations"],
@@ -147,7 +147,7 @@ def _cmd_mechanism(args):
                                                     args.surplus))
         dom = iterated_dominance(game, "strict")
     else:
-        params = ElectionParams(args.penalty) if args.penalty else None
+        params = None if args.penalty is None else ElectionParams(args.penalty)
         game = apply_election(spec, params)
         dom = iterated_dominance(game, "weak")
     out_dir = args.out or "."

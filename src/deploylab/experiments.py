@@ -45,8 +45,16 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r" % (self.experiment,))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
+        low = 2 if self.experiment == "stag-hunt-suite" else 1
+        if self.dimension < low:
+            raise ValueError("dimension must be at least %d for %s"
+                             % (low, self.experiment))
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -170,7 +178,8 @@ def _trial_gkt_roundtrip(config, t):
     rng = _trial_rng(config.seed, t)
     d = min(config.dimension, 3)
     game = BimatrixGame(rng.random((d, d)), rng.random((d, d)))
-    res = solve_bimatrix_via_hedge(game, config.eps)
+    res = solve_bimatrix_via_hedge(game, config.eps,
+                                   max_iters=config.max_iters)
     ok = res["success"] and is_approx_equilibrium(
         game, res["pair"], config.eps, "bimatrix")
     return {"trial": t, "seed": [config.seed, t], "outcome": bool(ok),
@@ -231,13 +240,9 @@ def _run_one(args):
 
 def run_experiment(config):
     """Execute the configured experiment; failures carry their seeds."""
-    workers = config.workers
-    env = os.environ.get("DEPLOYLAB_WORKERS")
-    if env:
-        workers = int(env)
     jobs = [(config, t) for t in range(config.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_run_one, jobs))
     else:
         records = [_run_one(j) for j in jobs]

@@ -135,9 +135,9 @@ class BimatrixGame:
         C = np.asarray(C, dtype=float)
         return cls(C, C.T)
 
-    def is_symmetric(self, tol=0.0):
+    def is_symmetric(self):
         return self.A.shape[0] == self.A.shape[1] and \
-            np.allclose(self.B, self.A.T, atol=tol, rtol=0)
+            np.allclose(self.B, self.A.T, atol=0.0, rtol=0)
 
 
 def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix",
@@ -200,7 +200,7 @@ def _equalization_system(M, support_rows, support_cols):
     return eqs, rhs
 
 
-def support_enumeration_equilibria(game, max_support=None, eps=DEFAULT_TOL):
+def support_enumeration_equilibria(game, eps=DEFAULT_TOL):
     """All Nash equilibria of a small bimatrix game, by support enumeration.
 
     Solves the payoff-equalization linear system for every equal-size
@@ -210,11 +210,8 @@ def support_enumeration_equilibria(game, max_support=None, eps=DEFAULT_TOL):
     not enumerated.
     """
     m, n = game.shape
-    if max_support is None:
-        max_support = min(m, n)
-    max_support = min(max_support, m, n)
     found = []
-    for k in range(1, max_support + 1):
+    for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
                 # q equalizes the row payoffs A, p equalizes the columns B

@@ -53,8 +53,11 @@ def _deviation_gains(game):
         stride = int(np.prod(counts[i + 1:]))
         own = ids // stride % c
         for t in range(c):
-            yield (np.take(u, [t], axis=i) - u, ids + (t - own) * stride,
-                   own != t)
+            # a difference of finite payoffs overflows to +-inf at worst,
+            # never to NaN, so every gain keeps its sign
+            with np.errstate(over="ignore"):
+                gain = np.take(u, [t], axis=i) - u
+            yield gain, ids + (t - own) * stride, own != t
 
 
 def build_graph(game, kind="strict", tie_tol=0.0, arc_cap=DEFAULT_ARC_CAP):

@@ -27,6 +27,8 @@ class StagHuntSpec:
         self.benefit = tuple(float(b) for b in self.benefit)
         if len(self.benefit) != self.n:
             raise ValueError("benefit must have one entry per adopter count")
+        if not np.isfinite(self.benefit + (self.c,)).all():
+            raise ValueError("benefit and c must be finite")
         if any(b2 < b1 for b1, b2 in zip(self.benefit, self.benefit[1:])):
             raise ValueError("benefit must be nondecreasing")
         if not self.benefit[-1] > self.c:
@@ -44,6 +46,8 @@ class InsuranceParams:
     surplus: float
 
     def __post_init__(self):
+        if not np.isfinite([self.premium, self.surplus]).all():
+            raise ValueError("premium and surplus must be finite")
         if self.premium <= 0 or self.surplus <= 0:
             raise ValueError("premium and surplus must be positive")
         if not self.premium < self.surplus:
@@ -72,6 +76,10 @@ class ElectionParams:
     """The penalty justifies ignoring commitment-breaking strategies; it
     is not part of the induced payoffs."""
     penalty: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.penalty):
+            raise ValueError("penalty must be finite")
 
     def validate(self, spec):
         worst_loss = spec.c - spec.benefit[0]

@@ -20,51 +20,24 @@ STRICT_TOL = 1e-10
 LOCAL_CONCEPTS = ("ESS", "NSS")
 GLOBAL_CONCEPTS = ("GESS", "GNSS", "EDS")
 
-
-class SegmentGrid:
-    """Sorted epsilon values in [0, 1] with both endpoints present."""
-
-    def __init__(self, epsilons):
-        eps = np.asarray(sorted(set(float(e) for e in epsilons)))
-        if eps[0] != 0.0 or eps[-1] != 1.0:
-            raise ValueError("grid must include both endpoints 0 and 1")
-        if (np.diff(eps) <= 0).any():
-            raise ValueError("grid must be strictly increasing")
-        self.epsilons = eps
-
-    @classmethod
-    def default(cls, count=101):
-        return cls(np.linspace(0.0, 1.0, count))
-
-    def __len__(self):
-        return len(self.epsilons)
+# epsilons of the segment Z_e tested by the polyorder relations
+SEGMENT = np.linspace(0.0, 1.0, 101)
 
 
 @dataclass
 class SampleBudget:
     simplex_samples: int = 200
     seed: int = 0
-    scheme: str = "vertices-plus-random"
 
     def __post_init__(self):
         if self.simplex_samples < 1:
             raise ValueError("simplex_samples must be at least 1")
-        if self.scheme not in ("uniform-dirichlet", "grid",
-                              "vertices-plus-random"):
-            raise ValueError("unknown sampling scheme %r" % (self.scheme,))
 
     def samples(self, n):
-        """Yield sampled strategies; randomness is seed-split per index."""
-        if self.scheme in ("vertices-plus-random", "grid"):
-            for i in range(n):
-                yield np.eye(n)[i]
-        if self.scheme == "grid":
-            # midpoints of all strategy pairs as a coarse deterministic grid
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = np.zeros(n)
-                    v[i] = v[j] = 0.5
-                    yield v
+        """Yield the n vertices, then simplex_samples Dirichlet draws;
+        randomness is seed-split per index."""
+        for i in range(n):
+            yield np.eye(n)[i]
         for i in range(self.simplex_samples):
             rng = np.random.default_rng([self.seed, i])
             yield rng.dirichlet(np.ones(n))
@@ -82,20 +55,18 @@ class StabilityVerdict:
         return self.status in ("confirmed-on-samples", "exact")
 
 
-def evaluate_relation(op, x, y, grid=None, kind="strict", tol=STRICT_TOL):
+def evaluate_relation(op, x, y, kind="strict", tol=STRICT_TOL):
     """Does x relate to y in the (strict/drifting) linear polyorder?
 
     Tests x.F(Z_e) vs y.F(Z_e) along the segment Z_e = e y + (1-e) x for
-    every grid epsilon.  Returns (holds, first_failing_epsilon).
+    every epsilon of SEGMENT.  Returns (holds, first_failing_epsilon).
     """
     op = as_operator(op)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if grid is None:
-        grid = SegmentGrid.default()
     if kind not in ("strict", "drifting"):
         raise ValueError("kind must be strict or drifting")
-    for e in grid.epsilons:
+    for e in SEGMENT:
         z = e * y + (1.0 - e) * x
         diff = float((x - y) @ payoff_vector(op, z))
         ok = diff > tol if kind == "strict" else diff >= -tol
@@ -239,8 +210,7 @@ def check_variational(op, x_star, kind, budget=None, tol=STRICT_TOL):
     return StabilityVerdict("confirmed-on-samples", samples_used=used)
 
 
-def drifting_maximality_falsifier(op, x_star, budget=None, grid=None,
-                                  tol=STRICT_TOL):
+def drifting_maximality_falsifier(op, x_star, budget=None, tol=STRICT_TOL):
     """Search for a strategy that dominates x* in the drifting polyorder.
 
     x* is maximal iff for every X either x* weakly beats X along the
@@ -252,15 +222,13 @@ def drifting_maximality_falsifier(op, x_star, budget=None, grid=None,
     n = len(x_star)
     if budget is None:
         budget = SampleBudget()
-    if grid is None:
-        grid = SegmentGrid.default()
     used = 0
     for x in budget.samples(n):
         if np.allclose(x, x_star, atol=1e-12):
             continue
         used += 1
         diffs = []
-        for e in grid.epsilons:
+        for e in SEGMENT:
             z = e * x + (1.0 - e) * x_star
             diffs.append(float((x_star - x) @ payoff_vector(op, z)))
         diffs = np.array(diffs)

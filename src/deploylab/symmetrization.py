@@ -75,19 +75,27 @@ def normalize_bimatrix(game):
 
     Strategies are unchanged by either map; the record only feeds the
     epsilon bookkeeping.  An already-normalized game gets the identity
-    record.
+    record.  A payoff range so wide that the maps overflow or round the
+    signs away raises ValueError.
     """
     A, B = game.A, game.B
     if A.min() > 0 and A.max() <= 1 and B.min() >= -1 and B.max() < 0:
         rec = NormalizationRecord(0.0, 0.0, 1.0, A.min(), A.max(),
                                   B.min(), B.max())
         return game, rec
-    shift_a = 1.0 - A.min()          # min of the shifted A is 1
-    shift_b = -B.max() - 1.0         # max of the shifted B is -1
-    Ah = A + shift_a
-    Bh = B + shift_b
-    m = max(Ah.max(), (-Bh).max())
-    out = BimatrixGame(Ah / m, Bh / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift_a = 1.0 - A.min()          # min of the shifted A is 1
+        shift_b = -B.max() - 1.0         # max of the shifted B is -1
+        Ah = A + shift_a
+        Bh = B + shift_b
+        m = max(Ah.max(), (-Bh).max())
+        Ah, Bh = Ah / m, Bh / m
+    if not (np.isfinite(Ah).all() and np.isfinite(Bh).all() and
+            Ah.min() > 0 and Bh.max() < 0):
+        raise ValueError("payoff range too wide to normalize: A spans "
+                         "[%g, %g], B spans [%g, %g]"
+                         % (A.min(), A.max(), B.min(), B.max()))
+    out = BimatrixGame(Ah, Bh)
     rec = NormalizationRecord(shift_a, shift_b, 1.0 / m,
                               out.A.min(), out.A.max(),
                               out.B.min(), out.B.max())
@@ -197,14 +205,6 @@ DEFAULT_RESTARTS = (
 _SEGMENT = 20000
 
 
-def _unit_rescale_gkt(C):
-    """Affine map into [0,1] by the chain's convention: shift by
-    |min C| + 1, scale by the reciprocal of the shifted maximum."""
-    shift = abs(C.min()) + 1.0
-    scale = 1.0 / (C + shift).max()
-    return (C + shift) * scale, shift, scale
-
-
 def _verify_chain(orig, gkt_game, C0, pair_unit, budget, eps):
     """Re-verify every epsilon level; returns (report, recovered pair)."""
     p0, q0 = pair_unit
@@ -253,7 +253,9 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
                 "diagnostics": {"trivial": True}}
     norm_game, record = normalize_bimatrix(game)
     gkt_game = gkt_symmetrize(norm_game)
-    C0, shift, rescale = _unit_rescale_gkt(gkt_game.C)
+    # C spans exactly [-1, 1] (literal +-1 entries, normalized A and B)
+    rescale = 1.0 / 3.0
+    C0 = (gkt_game.C + 2.0) * rescale
     budget = EpsilonBudget(eps, record.scale, rescale)
     budget.check_constraint(record)
     eps_ws = budget.ws_on_unit

@@ -1,6 +1,7 @@
 """The deploylab command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ class TestSolve:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
+
+    def test_overflowing_payoff_range(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        with open(path, "w") as fh:
+            json.dump({"kind": "symmetric",
+                       "A": [[1e308, -1e308], [1e308, 1e308]]}, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path), "--method", "hedge"]) == 2
+            err = capsys.readouterr().err
+            assert main(["analyze-graph", str(path),
+                         "--out", str(tmp_path / "a.json")]) == 0
+        assert err.startswith("error: payoff range too wide to normalize")
+        assert err.count("\n") == 1
 
     def test_strategic_game_rejected(self, tmp_path):
         path = tmp_path / "g.json"
@@ -119,6 +134,13 @@ class TestSymmetrize:
         assert report["recovered_pair"] is not None
         assert report["normalization"]["scale"] > 0
 
+    def test_bad_eps_writes_nothing(self, stag_hunt_file, tmp_path, capsys):
+        out = tmp_path / "sym"
+        assert main(["symmetrize", stag_hunt_file, "--eps", "0.5",
+                     "--out", str(out)]) == 2
+        assert "violates the constraint" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeGraph:
     def test_analysis_and_dot(self, stag_hunt_file, tmp_path):
@@ -161,6 +183,15 @@ class TestMechanism:
             game = json.load(fh)
         assert game["kind"] == "strategic"
 
+    @pytest.mark.parametrize("penalty", ["0", "0.5"])
+    def test_penalty_validated(self, penalty, tmp_path, capsys):
+        out = tmp_path / "el"
+        assert main(["mechanism", "--type", "election", "--n", "2",
+                     "--benefit=-1,10", "--c", "0", "--penalty", penalty,
+                     "--out", str(out)]) == 2
+        assert "penalty must exceed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_insurance_needs_premium(self):
         assert main(["mechanism", "--type", "insurance", "--n", "2",
                      "--benefit=-1,10", "--c", "0"]) == 2
@@ -199,6 +230,23 @@ class TestExperiment:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "below one iteration per restart" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment, flag, field", [
+        ("stag-hunt-suite", "--dimension=1", "dimension"),
+        ("random-symmetric-hedge", "--dimension=0", "dimension"),
+        ("mechanism-suite", "--workers=-3", "workers"),
+        ("mechanism-suite", "--workers=0", "workers"),
+        ("mechanism-suite", "--seed=-1", "seed"),
+        ("random-symmetric-hedge", "--eps=nan", "eps"),
+    ])
+    def test_out_of_range_config_exits_two(self, experiment, flag, field,
+                                           tmp_path, capsys):
+        code = main(["experiment", "--experiment", experiment,
+                     "--trials", "1", flag, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s must be " % field)
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_experiment_rejected(self, capsys):

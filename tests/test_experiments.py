@@ -96,13 +96,18 @@ class TestRunExperiment:
         assert report.successes == 5
         assert [r["trial"] for r in report.records] == list(range(5))
 
-    def test_worker_parity(self, monkeypatch):
+    def test_worker_parity(self):
         base = dict(experiment="mechanism-suite", trials=4, dimension=3,
                     eps=0.05, seed=3)
         serial = run_experiment(ExperimentConfig(**base))
-        monkeypatch.setenv("DEPLOYLAB_WORKERS", "2")
-        parallel = run_experiment(ExperimentConfig(**base))
+        parallel = run_experiment(ExperimentConfig(**base, workers=2))
         assert serial.records == parallel.records
+
+    def test_max_iters_bounds_gkt_roundtrip(self):
+        config = ExperimentConfig(experiment="gkt-roundtrip", trials=2,
+                                  dimension=3, seed=0, max_iters=1000)
+        report = run_experiment(config)
+        assert all(r["iterations"] <= 1000 for r in report.records)
 
     def test_failure_records_carry_seeds(self):
         config = ExperimentConfig(experiment="rps-repulsion", trials=3,

@@ -1,18 +1,22 @@
-"""Fuzzing of the game-file contract: every JSON value either loads as a
-game or is rejected with ValueError, and the CLI answers it with an exit
-code and, on exit 2, a one-line message; never with a traceback."""
+"""Fuzzing of the CLI's input contract: every JSON value either loads as
+a game or is rejected with ValueError, and the CLI answers every game
+file and every mechanism or experiment argument with an exit code and,
+on exit 2, a one-line message; never with a traceback or a warning."""
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from deploylab.cli import main
+from deploylab.experiments import EXPERIMENTS
 from deploylab.games import BimatrixGame, StrategicGame, game_from_dict
 
 SCALARS = (st.none() | st.booleans() | st.integers() |
@@ -91,3 +95,137 @@ def test_cli_exits_with_a_code_never_a_traceback(data, command):
             with open(out) as fh:
                 json.load(fh)
 
+
+NAN = float("nan")
+# small integers make valid stag hunts likely; the rest probes the edges
+ARG_FLOATS = st.integers(-3, 3).map(float) | \
+    st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of one CLI call in a scratch directory, with
+    every warning raised as an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", tmp])
+    return code, err.getvalue()
+
+
+def _check_exit(code, message, non_finite):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert message.startswith("error: ") and message.count("\n") == 1
+    else:
+        assert message == "" and not non_finite
+
+
+def _break_some(draw, valid, edges):
+    """valid with up to two of its fields replaced by edge values."""
+    args = dict(valid)
+    for name in draw(st.sets(st.sampled_from(sorted(edges)), max_size=2)):
+        args[name] = draw(edges[name])
+    return args
+
+
+@st.composite
+def mechanism_args(draw):
+    """Typed mechanism arguments: mostly a valid stag hunt with a field or
+    two broken; n <= 4 keeps the induced table at 4^n rows."""
+    kind = draw(st.sampled_from(["insurance", "election"]))
+    n = draw(st.integers(2, 4))
+    c = float(draw(st.integers(-3, 3)))
+    lows = draw(st.integers(1, n - 1))
+    steps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    benefit = sorted([c - s for s in steps[:lows]] +
+                     [c + s for s in steps[lows:]])
+    valid = {"n": n, "benefit": benefit, "c": c}
+    edges = {"n": st.integers(-1, 4), "c": ARG_FLOATS,
+             "benefit": st.lists(ARG_FLOATS, max_size=4) |
+             st.lists(ARG_FLOATS, min_size=1, max_size=4).map(sorted)}
+    if kind == "insurance":
+        valid.update(premium=0.1, surplus=0.2)
+        edges.update(premium=st.none() | ARG_FLOATS,
+                     surplus=st.none() | ARG_FLOATS)
+    else:
+        valid.update(penalty=None)
+        edges.update(penalty=st.none() | ARG_FLOATS)
+    return kind, _break_some(draw, valid, edges)
+
+
+def _mechanism_argv(kind, args):
+    argv = ["mechanism", "--type", kind, "--n=%d" % args["n"],
+            "--benefit=" + ",".join(map(repr, args["benefit"])),
+            "--c=%r" % args["c"]]
+    for flag in ("premium", "surplus", "penalty"):
+        if args.get(flag) is not None:
+            argv.append("--%s=%r" % (flag, args[flag]))
+    return argv
+
+
+@given(mechanism_args())
+# NaN benefits, a zero or NaN penalty and an infinite surplus once
+# passed validation
+@example(("election", {"n": 3, "benefit": [-1.0, NAN, 2.0], "c": 0.0}))
+@example(("election", {"n": 2, "benefit": [-1.0, 10.0], "c": 0.0,
+                       "penalty": 0.0}))
+@example(("election", {"n": 2, "benefit": [-1.0, 10.0], "c": 0.0,
+                       "penalty": NAN}))
+@example(("insurance", {"n": 2, "benefit": [-1.0, 10.0], "c": 0.0,
+                        "premium": 0.5, "surplus": float("inf")}))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mechanism_arguments_exit_with_a_code(case):
+    kind, args = case
+    numbers = args["benefit"] + [args["c"]] + \
+        [args.get(f) for f in ("premium", "surplus", "penalty")
+         if args.get(f) is not None]
+    code, message = _run_cli(_mechanism_argv(kind, args))
+    _check_exit(code, message, not all(map(math.isfinite, numbers)))
+
+
+# trials <= 2, max-iters <= 2000 and workers <= 1 keep each run small and
+# in this process
+EXPERIMENT_EDGES = {
+    "trials": st.integers(-1, 2), "dimension": st.integers(-1, 6),
+    "eps": ARG_FLOATS, "seed": st.integers(-2, 10**6),
+    "max_iters": st.integers(-5, 2000), "workers": st.integers(-3, 1)}
+
+
+@st.composite
+def experiment_args(draw):
+    valid = {"trials": draw(st.integers(1, 2)),
+             "dimension": draw(st.integers(2, 6)),
+             "eps": draw(st.floats(1e-4, 0.2)),
+             "seed": draw(st.integers(0, 100)),
+             "max_iters": draw(st.integers(10, 2000)), "workers": 1}
+    return (draw(st.sampled_from(EXPERIMENTS)),
+            _break_some(draw, valid, EXPERIMENT_EDGES))
+
+
+@given(experiment_args())
+# a NaN eps once read as a solver miss; a dimension below the minimum
+# or a negative worker count once passed validation
+@example(("random-symmetric-hedge", {
+    "trials": 1, "dimension": 3, "eps": NAN, "seed": 0, "max_iters": 100,
+    "workers": 1}))
+@example(("stag-hunt-suite", {
+    "trials": 1, "dimension": 1, "eps": 1e-3, "seed": 0, "max_iters": 100,
+    "workers": 1}))
+@example(("random-symmetric-hedge", {
+    "trials": 1, "dimension": 0, "eps": 1e-3, "seed": 0, "max_iters": 100,
+    "workers": 1}))
+@example(("mechanism-suite", {
+    "trials": 1, "dimension": 3, "eps": 1e-3, "seed": 0, "max_iters": 100,
+    "workers": -3}))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_experiment_arguments_exit_with_a_code(case):
+    experiment, args = case
+    argv = ["experiment", "--experiment", experiment]
+    argv += ["--%s=%r" % (k.replace("_", "-"), v) for k, v in args.items()]
+    code, message = _run_cli(argv)
+    _check_exit(code, message, not math.isfinite(args["eps"]))

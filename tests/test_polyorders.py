@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deploylab.polyorders import (SampleBudget, SegmentGrid, check_stability,
+from deploylab.polyorders import (SampleBudget, check_stability,
                                   check_variational,
                                   drifting_maximality_falsifier,
                                   evaluate_relation)
@@ -27,21 +27,8 @@ def brute_force_gess_2x2(C, x_star, strict, points=10001):
     return True
 
 
-class TestSegmentGrid:
-    def test_default_has_endpoints(self):
-        grid = SegmentGrid.default(11)
-        assert grid.epsilons[0] == 0.0 and grid.epsilons[-1] == 1.0
-        assert len(grid) == 11
-
-    def test_rejects_missing_endpoints(self):
-        with pytest.raises(ValueError):
-            SegmentGrid([0.1, 0.5, 1.0])
-
-
 class TestSampleBudget:
     def test_schemes_validated(self):
-        with pytest.raises(ValueError):
-            SampleBudget(scheme="quasi-random")
         with pytest.raises(ValueError):
             SampleBudget(simplex_samples=0)
 
