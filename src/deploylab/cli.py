@@ -8,6 +8,14 @@
 
 Exit codes: 0 success, 1 a solver or experiment missed its target, 2
 configuration or input error.  --workers must be at least 1.
+
+mechanism takes --premium and --surplus only with --type insurance, and
+--penalty only with --type election.  experiment rejects a flag the
+chosen experiment does not read: rps-repulsion and mechanism-suite read
+none of --dimension, --eps and --max-iters, and stag-hunt-suite reads
+only --dimension of them.  Two experiments cap --dimension silently:
+gkt-roundtrip plays min(D, 3) x min(D, 3) games, and stag-hunt-suite
+draws its player count from 2..min(D, 4).
 """
 
 import argparse
@@ -138,6 +146,12 @@ def _cmd_analyze_graph(args):
 
 
 def _cmd_mechanism(args):
+    other = (("penalty",) if args.type == "insurance"
+             else ("premium", "surplus"))
+    stray = ["--" + f for f in other if getattr(args, f) is not None]
+    if stray:
+        raise ValueError("--type %s takes no %s"
+                         % (args.type, ", ".join(stray)))
     benefit = tuple(float(v) for v in args.benefit.split(","))
     spec = StagHuntSpec(args.n, benefit, args.c)
     if args.type == "insurance":

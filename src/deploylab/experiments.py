@@ -28,6 +28,13 @@ EXPERIMENTS = ("random-symmetric-hedge", "rps-repulsion", "gkt-roundtrip",
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
+# the config fields an experiment never reads; setting one is an error
+_UNREAD = {
+    "rps-repulsion": ("dimension", "eps", "max_iters"),
+    "stag-hunt-suite": ("eps", "max_iters"),
+    "mechanism-suite": ("dimension", "eps", "max_iters"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -43,6 +50,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment %r" % (self.experiment,))
+        for name in _UNREAD.get(self.experiment, ()):
+            if getattr(self, name) != getattr(ExperimentConfig, name):
+                raise ValueError("%s does not read %s (--%s)" % (
+                    self.experiment, name, name.replace("_", "-")))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -182,9 +193,13 @@ def _trial_gkt_roundtrip(config, t):
                                    max_iters=config.max_iters)
     ok = res["success"] and is_approx_equilibrium(
         game, res["pair"], config.eps, "bimatrix")
+    achieved = None
+    if ok:
+        p, q = res["pair"]
+        row, col = game.A @ q, game.B.T @ p
+        achieved = float(max(row.max() - p @ row, col.max() - q @ col))
     return {"trial": t, "seed": [config.seed, t], "outcome": bool(ok),
-            "iterations": res["iterations"],
-            "achieved_eps": config.eps if ok else None}
+            "iterations": res["iterations"], "achieved_eps": achieved}
 
 
 def _trial_stag_hunt(config, t):

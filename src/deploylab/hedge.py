@@ -16,7 +16,6 @@ import numpy as np
 from .games import (DEFAULT_TOL, _equalization_system, as_operator, carrier,
                     is_interior, payoff_vector, validate_mixed)
 
-FIXED_POINT_DISPLACEMENT = 1e-14
 _FIRST_CHECK = 100  # first checkpoint of each orbit in hedge_candidates
 
 
@@ -47,8 +46,6 @@ class LearningRateSchedule:
     def rate(self, k):
         if self.form == "constant":
             return self.c
-        if self.form == "harmonic":
-            return self.c / (k + 1)
         return self.c / (k + 1) ** self.exponent
 
     @property
@@ -58,10 +55,8 @@ class LearningRateSchedule:
 
     @property
     def diverges(self):
-        """sum a_k = +inf"""
-        if self.form == "constant":
-            return True
-        return self.exponent <= 1.0
+        """sum a_k = +inf: true of every form, since exponent <= 1"""
+        return True
 
     @property
     def convergent_schedule(self):
@@ -82,7 +77,11 @@ def hedge_step(op, x, alpha):
     if alpha < 0:
         raise ValueError("learning rate must be nonnegative")
     x = np.asarray(x, dtype=float)
-    p = payoff_vector(op, x)
+    return _hedge_map(x, payoff_vector(op, x), alpha)
+
+
+def _hedge_map(x, p, alpha):
+    """x(i) exp{alpha p_i}, normalized, for the payoff vector p = Cx."""
     z = alpha * p
     w = x * np.exp(z - z.max())
     return w / w.sum()
@@ -111,75 +110,58 @@ def is_fixed_point(op, x, tol=DEFAULT_TOL):
 class HedgeTrace:
     """Record of a Hedge run.
 
-    iterates holds every record_every-th iterate plus the final one.
-    iterate_sum/count cover every iterate the map was applied at (or
-    the run stopped at), whatever the decimation; final_in_sum says
-    whether the final iterate is among them, so the all-window average
-    is exactly the orbit's mean.
+    iterates holds every record_every-th iterate plus the final one, with
+    its iteration in iterate_iters and RE(reference, x) in
+    re_to_reference.  iterate_sum/count cover every iterate the map was
+    applied at (or the run stopped at), whatever the decimation;
+    final_in_sum says whether the final iterate is among them, so the
+    average is exactly the orbit's mean.  stop_reason is 'max-iters',
+    'converged', or 'fixed-point': the computed map returned the final
+    iterate unchanged, T(x) == x.
     """
 
     def __init__(self, record_every=1):
         self.record_every = record_every
         self.iterates = []
         self.iterate_iters = []
-        self.rates = []
-        self.payoffs = []
         self.re_to_reference = []
         self.stop_reason = None
         self.iterate_sum = None
         self.count = 0
         self.final_in_sum = False
 
-    def _record(self, k, x, rate, payoff, re_ref):
+    def _append(self, k, x, re_ref):
+        self.iterates.append(x)
+        self.iterate_iters.append(k)
+        self.re_to_reference.append(re_ref)
+
+    def _record(self, k, x, re_ref):
         if self.iterate_sum is None:
             self.iterate_sum = np.zeros_like(x)
         self.iterate_sum += x
         self.count += 1
         if k % self.record_every == 0:
-            self.iterates.append(x)
-            self.iterate_iters.append(k)
-            self.rates.append(rate)
-            self.payoffs.append(payoff)
-            self.re_to_reference.append(re_ref)
+            self._append(k, x, re_ref)
 
-    def _record_final(self, k, x, rate, payoff, re_ref, in_sum):
+    def _record_final(self, k, x, re_ref, in_sum):
         self.final_in_sum = in_sum
-        if self.iterate_iters and self.iterate_iters[-1] == k:
-            return
-        self.iterates.append(x)
-        self.iterate_iters.append(k)
-        self.rates.append(rate)
-        self.payoffs.append(payoff)
-        self.re_to_reference.append(re_ref)
+        if not (self.iterate_iters and self.iterate_iters[-1] == k):
+            self._append(k, x, re_ref)
 
     @property
     def final(self):
         return self.iterates[-1]
-
-    def to_csv(self, path):
-        """Write iter, alpha, payoff, re_to_reference, x_0..x_{n-1} rows."""
-        import csv
-        n = len(self.iterates[0])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "alpha", "payoff", "re_to_reference"] +
-                       ["x_%d" % i for i in range(n)])
-            for k, a, pay, re_, x in zip(self.iterate_iters, self.rates,
-                                         self.payoffs, self.re_to_reference,
-                                         self.iterates):
-                w.writerow([k, repr(a), repr(pay),
-                            "" if re_ is None else repr(re_)] +
-                           [repr(float(v)) for v in x])
 
 
 def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
               record_every=1, k0=0):
     """Iterate Hedge from an interior start.
 
-    Stops on max_iters, on a fixed point (step displacement below
-    1e-14 in the max norm), or when RE(reference, x_k) drops below
-    stop_re.  k0 offsets the schedule index so a run can be continued
-    in segments.
+    Stops on max_iters; when RE(reference, x_k) drops below stop_re; or
+    on a fixed point, when the computed step returns x_k unchanged.  An
+    orbit that only moves slowly, such as one escaping towards a best
+    response of tiny weight, is not a fixed point and keeps running.  k0
+    offsets the schedule index so a run can be continued in segments.
     """
     op = as_operator(op)
     x = validate_mixed(x0)
@@ -188,31 +170,23 @@ def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
                          "(the boundary is invariant)")
     trace = HedgeTrace(record_every=record_every)
     M = op.matrix if op.kind == "linear-matrix" else None
-    for k in range(max_iters):
-        p = M @ x if M is not None else payoff_vector(op, x)
-        # the payoff only feeds recorded rows
-        payoff = float(x @ p) if (k0 + k) % record_every == 0 else None
+    for k in range(k0, k0 + max_iters):
         re_ref = None if reference is None else relative_entropy(reference, x)
-        rate = schedule.rate(k0 + k)
-        trace._record(k0 + k, x, rate, payoff, re_ref)
+        trace._record(k, x, re_ref)
         if stop_re is not None and re_ref is not None and re_ref < stop_re:
-            trace._record_final(k0 + k, x, rate, float(x @ p), re_ref,
-                                in_sum=True)
-            trace.stop_reason = "converged"
-            return trace
-        z = rate * p
-        w = x * np.exp(z - z.max())
-        x_next = w / w.sum()
-        if np.abs(x_next - x).max() < FIXED_POINT_DISPLACEMENT:
-            trace._record_final(k0 + k, x, rate, float(x @ p), re_ref,
-                                in_sum=True)
-            trace.stop_reason = "fixed-point"
-            return trace
-        x = x_next
-    p = M @ x if M is not None else payoff_vector(op, x)
+            stop = "converged"
+        else:
+            p = M @ x if M is not None else payoff_vector(op, x)
+            x_next = _hedge_map(x, p, schedule.rate(k))
+            if not (x_next == x).all():
+                x = x_next
+                continue
+            stop = "fixed-point"
+        trace._record_final(k, x, re_ref, in_sum=True)
+        trace.stop_reason = stop
+        return trace
     re_ref = None if reference is None else relative_entropy(reference, x)
-    trace._record_final(k0 + max_iters, x, schedule.rate(k0 + max_iters),
-                        float(x @ p), re_ref, in_sum=False)
+    trace._record_final(k0 + max_iters, x, re_ref, in_sum=False)
     trace.stop_reason = "max-iters"
     return trace
 
@@ -295,37 +269,26 @@ def hedge_candidates(C, orbits, per_orbit, segment):
                      else (check // segment + 1) * segment)
 
 
-def average_iterates(trace, window="all"):
-    """Arithmetic mean of trace iterates.
-
-    window='all' is the uniform mean of every iterate of the orbit, the
-    final one counted once, from the exact full-orbit sum;
-    window=('tail', k) averages the last k recorded iterates.
+def average_iterates(trace):
+    """Uniform mean of every iterate of the orbit, the final one counted
+    once, from the exact full-orbit sum.
 
     On a game whose interior equilibrium repels Hedge (rock-paper-
-    scissors), the uniform all-iterate average approaches it only when
-    a_k * k -> inf, e.g. 'power' with exponent < 1: the orbit then
-    covers flow time t ~ sum a_k at a rate under which a mean over k
-    averages the flow.  Under 'harmonic' (t ~ c ln k) the mean over k
-    weights flow time by e^(t/c) and tracks the orbit's recent past.
+    scissors), this average approaches it only when a_k * k -> inf,
+    e.g. 'power' with exponent < 1: the orbit then covers flow time
+    t ~ sum a_k at a rate under which a mean over k averages the flow.
+    Under 'harmonic' (t ~ c ln k) the mean over k weights flow time by
+    e^(t/c) and tracks the orbit's recent past.
     """
-    if trace.count == 0 and not trace.iterates:
+    if not trace.iterates:
         raise ValueError("empty trace")
-    if window == "all":
-        total = (np.zeros_like(trace.final) if trace.iterate_sum is None
-                 else trace.iterate_sum.copy())
-        cnt = trace.count
-        if not trace.final_in_sum:
-            total += trace.final
-            cnt += 1
-        return total / cnt
-    kind, k = window
-    if kind != "tail" or k < 1:
-        raise ValueError("window must be 'all' or ('tail', k)")
-    sel = trace.iterates[-k:]
-    if not sel:
-        raise ValueError("empty window")
-    return np.mean(sel, axis=0)
+    total = (np.zeros_like(trace.final) if trace.iterate_sum is None
+             else trace.iterate_sum.copy())
+    cnt = trace.count
+    if not trace.final_in_sum:
+        total += trace.final
+        cnt += 1
+    return total / cnt
 
 
 def check_convexity_bounds(op, x, y, alphas):

@@ -122,7 +122,7 @@ def test_criterion_04_rps_repulsion_and_averaging():
         x0 = rng_for(104, trial).dirichlet(np.ones(3))
         trace = run_hedge(C0, x0, schedule, max_iters=10**6,
                           record_every=10**6)
-        dist = float(np.abs(average_iterates(trace, "all") - uniform).max())
+        dist = float(np.abs(average_iterates(trace) - uniform).max())
         worst = max(worst, dist)
         if dist > 1e-2:
             avg_ok = False

@@ -192,6 +192,22 @@ class TestMechanism:
         assert "penalty must exceed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, stray", [
+        (["--type", "election", "--premium=-7", "--surplus", "nan"],
+         "--premium, --surplus"),
+        (["--type", "election", "--surplus", "1.0"], "--surplus"),
+        (["--type", "insurance", "--premium", "0.5", "--surplus", "1.0",
+          "--penalty", "nan"], "--penalty"),
+    ])
+    def test_other_mechanism_flags_rejected(self, argv, stray, tmp_path,
+                                            capsys):
+        out = tmp_path / "m"
+        assert main(["mechanism", "--n", "2", "--benefit=-1,10", "--c", "0",
+                     "--out", str(out)] + argv) == 2
+        assert capsys.readouterr().err == "error: --type %s takes no %s\n" \
+            % (argv[1], stray)
+        assert not out.exists()
+
     def test_insurance_needs_premium(self):
         assert main(["mechanism", "--type", "insurance", "--n", "2",
                      "--benefit=-1,10", "--c", "0"]) == 2
@@ -247,6 +263,15 @@ class TestExperiment:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: %s must be " % field)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unread_flags_exit_two(self, tmp_path, capsys):
+        code = main(["experiment", "--experiment", "mechanism-suite",
+                     "--trials", "1", "--max-iters=-5", "--dimension", "99",
+                     "--eps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mechanism-suite does not read ")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_experiment_rejected(self, capsys):

@@ -10,8 +10,9 @@ from deploylab.experiments import (_RESTARTS, _SEGMENT, ExperimentConfig,
                                    _restart_orbits, emit_report,
                                    gen_random_game, hedge_symmetric_solve,
                                    run_experiment)
-from deploylab.games import is_approx_equilibrium
+from deploylab.games import BimatrixGame, is_approx_equilibrium
 from deploylab.hedge import hedge_candidates
+from deploylab.symmetrization import solve_bimatrix_via_hedge
 
 
 class TestGenRandomGame:
@@ -40,15 +41,16 @@ class TestHedgeSymmetricSolve:
         assert is_approx_equilibrium(C, res["strategy"], 1e-3, "symmetric")
         assert res["gap"] <= 1e-3
 
-    def test_pinned_restart_after_fixed_point_stop(self):
-        # criterion-5 game 4 on Hedge's own kinds alone: the second and
-        # third restarts end on a fixed-point stop and the fourth solves it
+    def test_pinned_restart_after_full_budget_restarts(self):
+        # criterion-5 game 4 on Hedge's own kinds alone: the first three
+        # restarts spend their full 100,000 iterations without reaching
+        # the gap, and the fourth solves it
         C = np.random.default_rng([105, 4]).random((10, 10))
         first = next((orbit, used) for orbit, used, kind, _, gap
                      in hedge_candidates(C, _restart_orbits(10, 4),
                                          10**6 // _RESTARTS, _SEGMENT)
                      if not kind.startswith("polish-") and gap <= 1e-3)
-        assert first == (3, 238713)
+        assert first == (3, 304000)
 
     def test_pinned_polished_solve(self):
         C = np.random.default_rng([105, 4]).random((10, 10))
@@ -89,6 +91,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="stag-hunt-suite", trials=0)
 
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("rps-repulsion", "dimension", 3),
+        ("rps-repulsion", "eps", 0.05),
+        ("rps-repulsion", "max_iters", 100),
+        ("stag-hunt-suite", "eps", 0.05),
+        ("stag-hunt-suite", "max_iters", 100),
+        ("mechanism-suite", "dimension", 3),
+        ("mechanism-suite", "eps", 0.05),
+        ("mechanism-suite", "max_iters", 100),
+    ])
+    def test_unread_field_rejected(self, experiment, field, value):
+        with pytest.raises(ValueError, match="%s does not read %s"
+                           % (experiment, field)):
+            ExperimentConfig(experiment=experiment, **{field: value})
+
     def test_stag_hunt_suite(self):
         config = ExperimentConfig(experiment="stag-hunt-suite", trials=5,
                                   dimension=3, seed=2)
@@ -97,8 +114,7 @@ class TestRunExperiment:
         assert [r["trial"] for r in report.records] == list(range(5))
 
     def test_worker_parity(self):
-        base = dict(experiment="mechanism-suite", trials=4, dimension=3,
-                    eps=0.05, seed=3)
+        base = dict(experiment="mechanism-suite", trials=4, seed=3)
         serial = run_experiment(ExperimentConfig(**base))
         parallel = run_experiment(ExperimentConfig(**base, workers=2))
         assert serial.records == parallel.records
@@ -109,9 +125,29 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert all(r["iterations"] <= 1000 for r in report.records)
 
+    def test_gkt_roundtrip_reports_achieved_gap(self):
+        # the recorded gap is recomputed from the recovered pair, which
+        # the solver returns deterministically for the trial's game
+        config = ExperimentConfig(experiment="gkt-roundtrip", trials=3,
+                                  dimension=3, eps=0.05, seed=0)
+        report = run_experiment(config)
+        assert report.successes == 3
+        for r in report.records:
+            rng = np.random.default_rng(r["seed"])
+            game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
+            p, q = solve_bimatrix_via_hedge(game, 0.05)["pair"]
+            row = [sum(game.A[i, j] * q[j] for j in range(3))
+                   for i in range(3)]
+            col = [sum(game.B[i, j] * p[i] for i in range(3))
+                   for j in range(3)]
+            gap = max(max(row) - sum(p[i] * row[i] for i in range(3)),
+                      max(col) - sum(q[j] * col[j] for j in range(3)))
+            assert r["achieved_eps"] == pytest.approx(gap, abs=1e-12)
+            assert r["achieved_eps"] <= 0.05
+
     def test_failure_records_carry_seeds(self):
         config = ExperimentConfig(experiment="rps-repulsion", trials=3,
-                                  dimension=3, seed=4)
+                                  seed=4)
         report = run_experiment(config)
         for r in report.records:
             assert r["seed"] == [4, r["trial"]]

@@ -176,6 +176,11 @@ def _mechanism_argv(kind, args):
                        "penalty": NAN}))
 @example(("insurance", {"n": 2, "benefit": [-1.0, 10.0], "c": 0.0,
                         "premium": 0.5, "surplus": float("inf")}))
+# flags of the other mechanism were once ignored
+@example(("election", {"n": 2, "benefit": [-1.0, 10.0], "c": 0.0,
+                       "premium": -7.0, "surplus": NAN}))
+@example(("insurance", {"n": 2, "benefit": [-1.0, 10.0], "c": 0.0,
+                        "premium": 0.5, "surplus": 1.0, "penalty": NAN}))
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_mechanism_arguments_exit_with_a_code(case):
@@ -185,8 +190,16 @@ def test_mechanism_arguments_exit_with_a_code(case):
          if args.get(f) is not None]
     code, message = _run_cli(_mechanism_argv(kind, args))
     _check_exit(code, message, not all(map(math.isfinite, numbers)))
+    other = ("penalty",) if kind == "insurance" else ("premium", "surplus")
+    if any(args.get(f) is not None for f in other):
+        assert code == 2
 
 
+# the flags each experiment reads besides --trials, --seed and --workers
+READS = {"random-symmetric-hedge": ("dimension", "eps", "max_iters"),
+         "gkt-roundtrip": ("dimension", "eps", "max_iters"),
+         "stag-hunt-suite": ("dimension",),
+         "rps-repulsion": (), "mechanism-suite": ()}
 # trials <= 2, max-iters <= 2000 and workers <= 1 keep each run small and
 # in this process
 EXPERIMENT_EDGES = {
@@ -197,13 +210,18 @@ EXPERIMENT_EDGES = {
 
 @st.composite
 def experiment_args(draw):
+    """An experiment and the flags it reads: a flag it does not read
+    always exits 2, so drawing one would rarely reach a run."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
     valid = {"trials": draw(st.integers(1, 2)),
              "dimension": draw(st.integers(2, 6)),
              "eps": draw(st.floats(1e-4, 0.2)),
              "seed": draw(st.integers(0, 100)),
              "max_iters": draw(st.integers(10, 2000)), "workers": 1}
-    return (draw(st.sampled_from(EXPERIMENTS)),
-            _break_some(draw, valid, EXPERIMENT_EDGES))
+    valid = {k: v for k, v in valid.items()
+             if k in ("trials", "seed", "workers") + READS[experiment]}
+    edges = {k: v for k, v in EXPERIMENT_EDGES.items() if k in valid}
+    return experiment, _break_some(draw, valid, edges)
 
 
 @given(experiment_args())
@@ -213,14 +231,14 @@ def experiment_args(draw):
     "trials": 1, "dimension": 3, "eps": NAN, "seed": 0, "max_iters": 100,
     "workers": 1}))
 @example(("stag-hunt-suite", {
-    "trials": 1, "dimension": 1, "eps": 1e-3, "seed": 0, "max_iters": 100,
-    "workers": 1}))
+    "trials": 1, "dimension": 1, "seed": 0, "workers": 1}))
 @example(("random-symmetric-hedge", {
     "trials": 1, "dimension": 0, "eps": 1e-3, "seed": 0, "max_iters": 100,
     "workers": 1}))
+@example(("mechanism-suite", {"trials": 1, "seed": 0, "workers": -3}))
+# flags the experiment does not read were once accepted
 @example(("mechanism-suite", {
-    "trials": 1, "dimension": 3, "eps": 1e-3, "seed": 0, "max_iters": 100,
-    "workers": -3}))
+    "trials": 1, "max_iters": -5, "dimension": 99, "eps": 5.0}))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_experiment_arguments_exit_with_a_code(case):
@@ -228,4 +246,6 @@ def test_experiment_arguments_exit_with_a_code(case):
     argv = ["experiment", "--experiment", experiment]
     argv += ["--%s=%r" % (k.replace("_", "-"), v) for k, v in args.items()]
     code, message = _run_cli(argv)
-    _check_exit(code, message, not math.isfinite(args["eps"]))
+    _check_exit(code, message, not math.isfinite(args.get("eps", 0.0)))
+    if set(args) - {"trials", "seed", "workers"} - set(READS[experiment]):
+        assert code == 2
