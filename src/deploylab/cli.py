@@ -23,8 +23,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import experiments as expmod
 from .games import (BimatrixGame, StrategicGame, load_game, save_game,
                     support_enumeration_equilibria)
@@ -35,28 +33,14 @@ from .symmetrization import gkt_symmetrize, normalize_bimatrix, \
     solve_bimatrix_via_hedge
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _write_json(data, path):
+    """Every command builds plain JSON values; sort_keys orders dicts."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path is None or path == "-":
-        json.dump(_jsonable(data), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            json.dump(_jsonable(data), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def _cmd_solve(args):
@@ -125,7 +109,7 @@ def _cmd_analyze_graph(args):
         "classes": [_sorted_lists(c) for c in res["equilibrium_classes"]],
         "flags": res["flags"],
         "potential": None if potential is None else
-        {str(list(s)): v for s, v in sorted(potential.items())},
+        {str(list(s)): v for s, v in potential.items()},
     }
     _write_json(out, args.out)
     if args.dot:

@@ -111,6 +111,11 @@ def is_equalizer(op, x, tol=DEFAULT_TOL):
     return p.max() - p.min() <= tol
 
 
+def _check_finite(*tables):
+    if not all(np.isfinite(t).all() for t in tables):
+        raise ValueError("payoffs must be finite numbers")
+
+
 class BimatrixGame:
     """Two-player game (A, B): A holds row payoffs, B column payoffs."""
 
@@ -122,6 +127,7 @@ class BimatrixGame:
                              "shape")
         if A.size == 0:
             raise ValueError("every player needs at least one strategy")
+        _check_finite(A, B)
         self.A = A
         self.B = B
 
@@ -263,6 +269,7 @@ class StrategicGame:
         elif table.shape != want:
             raise ValueError("payoff table has shape %s; expected %s or %s"
                              % (table.shape, want, flat))
+        _check_finite(table)
         self.table = table
 
     @classmethod
@@ -370,9 +377,6 @@ def game_from_dict(data):
             game = BimatrixGame.symmetric(data["A"])
     except (TypeError, OverflowError) as exc:
         raise ValueError("malformed %s game: %s" % (kind, exc)) from None
-    tables = [game.table] if kind == "strategic" else [game.A, game.B]
-    if not all(np.isfinite(t).all() for t in tables):
-        raise ValueError("payoffs must be finite numbers")
     return game
 
 

@@ -3,10 +3,13 @@
 Arcs are unilateral deviations: strictly profitable ones in the strict
 graph, not-harmful ones in the ordinal graph (zero-gain deviations give
 paired neutral arcs).  Sink components of the condensation are the
-weakly/strongly maximal states.
+weakly/strongly maximal states.  Pure Nash equilibria are read off the
+same graphs, Nash derived from deployability: a profile is an
+equilibrium exactly when it has no strict-graph arc, and a strict one
+when it has no ordinal-graph arc either.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +28,7 @@ class DeploymentGraph:
 
 @dataclass
 class Condensation:
-    component_of: np.ndarray
+    component_of: list
     components: list
     dag_arcs: set
     sinks: set
@@ -35,29 +38,6 @@ class Condensation:
 class MaximalAnalysis:
     maximal_states: set
     classes: list
-    pure_nash: set
-    flags: dict = field(default_factory=dict)
-
-
-def _deviation_gains(game):
-    """Unilateral-deviation gains over the whole payoff table.
-
-    For each player i and strategy t, in that order, yields
-    (gain, target, mask): arrays of the table's profile shape holding
-    u_i(t, s_-i) - u_i(s), the flat id of (t, s_-i), and s_i != t.
-    """
-    counts = game.strategy_counts
-    ids = np.arange(game.profile_count).reshape(counts)
-    for i, c in enumerate(counts):
-        u = game.table[..., i]
-        stride = int(np.prod(counts[i + 1:]))
-        own = ids // stride % c
-        for t in range(c):
-            # a difference of finite payoffs overflows to +-inf at worst,
-            # never to NaN, so every gain keeps its sign
-            with np.errstate(over="ignore"):
-                gain = np.take(u, [t], axis=i) - u
-            yield gain, ids + (t - own) * stride, own != t
 
 
 def build_graph(game, kind="strict", tie_tol=0.0, arc_cap=DEFAULT_ARC_CAP):
@@ -69,19 +49,32 @@ def build_graph(game, kind="strict", tie_tol=0.0, arc_cap=DEFAULT_ARC_CAP):
     """
     if kind not in ("strict", "ordinal"):
         raise ValueError("kind must be strict or ordinal")
-    total_arcs = game.profile_count * (sum(game.strategy_counts) -
-                                       game.player_count)
+    counts = game.strategy_counts
+    total_arcs = game.profile_count * (sum(counts) - game.player_count)
     if total_arcs > arc_cap:
         raise ValueError("profile space needs %d arc slots, over the cap %d"
                          % (total_arcs, arc_cap))
     arcs = [[] for _ in range(game.profile_count)]
-    for gain, target, mask in _deviation_gains(game):
-        positive = mask & (gain > tie_tol)
-        keep = positive | (mask & (gain >= -tie_tol)) \
-            if kind == "ordinal" else positive
-        for v, w, pos in zip(np.flatnonzero(keep).tolist(),
-                             target[keep].tolist(), positive[keep].tolist()):
-            arcs[v].append((w, POSITIVE if pos else NEUTRAL))
+    ids = np.arange(game.profile_count).reshape(counts)
+    for i, c in enumerate(counts):
+        u = game.table[..., i]
+        stride = int(np.prod(counts[i + 1:]))
+        own = ids // stride % c
+        for t in range(c):
+            # gain of every profile's deviation to t, u_i(t, s_-i) - u_i(s);
+            # a difference of finite payoffs overflows to +-inf at worst,
+            # never to NaN, so every gain keeps its sign
+            with np.errstate(over="ignore"):
+                gain = np.take(u, [t], axis=i) - u
+            mask = own != t
+            positive = mask & (gain > tie_tol)
+            keep = positive | (mask & (gain >= -tie_tol)) \
+                if kind == "ordinal" else positive
+            target = ids + (t - own) * stride
+            for v, w, pos in zip(np.flatnonzero(keep).tolist(),
+                                 target[keep].tolist(),
+                                 positive[keep].tolist()):
+                arcs[v].append((w, POSITIVE if pos else NEUTRAL))
     return DeploymentGraph(game.profile_count, arcs, kind)
 
 
@@ -142,25 +135,31 @@ def condensation(graph):
                 dag_arcs.add((cv, cw))
     has_out = {a for a, _ in dag_arcs}
     sinks = {c for c in range(len(components)) if c not in has_out}
-    return Condensation(np.array(comp_of, dtype=np.int64), components,
-                        dag_arcs, sinks)
+    return Condensation(comp_of, components, dag_arcs, sinks)
+
+
+def _nash_labels(game, strict, ordinal):
+    """Profiles without a strict-graph arc, in id order, labelled
+    'strict' when they have no ordinal-graph arc either, else 'weak'."""
+    return {game.decode(v): "weak" if ordinal.arcs[v] else "strict"
+            for v, out in enumerate(strict.arcs) if not out}
 
 
 def pure_nash(game, tol=0.0):
-    """Pure Nash equilibria, labelled 'strict' or 'weak'."""
-    best = np.full(game.strategy_counts, -np.inf)
-    for gain, _, mask in _deviation_gains(game):
-        best = np.maximum(best, np.where(mask, gain, -np.inf))
-    best = best.ravel()
-    return {game.decode(v): "strict" if best[v] < -tol else "weak"
-            for v in np.flatnonzero(best <= tol).tolist()}
+    """Pure Nash equilibria, labelled 'strict' or 'weak'.
+
+    A deviation gaining more than tol breaks an equilibrium; a strict
+    one also has no deviation losing tol or less.
+    """
+    return _nash_labels(game, build_graph(game, "strict", tol),
+                        build_graph(game, "ordinal", tol))
 
 
 def analyze(game, tie_tol=0.0):
     """The whole maximality analysis of a strategic game, in one pass.
 
     Builds and condenses the strict and the ordinal graph once each and
-    scans for pure Nash equilibria once.  Returns a dict with
+    reads the pure Nash equilibria off their arcs.  Returns a dict with
     'pure_nash' (profile -> label), 'weak' and 'strong' (MaximalAnalysis
     of the strict and the ordinal graph), 'flags', 'equilibrium_classes',
     'potential' and 'condensation' (of the ordinal graph).
@@ -181,26 +180,25 @@ def analyze(game, tie_tol=0.0):
     arcs pair up, so their endpoints share a component and a potential
     value; positive arcs always cross components forward.
     """
-    labels = pure_nash(game, tie_tol)
-    nash = set(labels)
-    out = {"pure_nash": labels}
-    for kind, graph_kind in (("weak", "strict"), ("strong", "ordinal")):
-        graph = build_graph(game, graph_kind, tie_tol)
+    strict = build_graph(game, "strict", tie_tol)
+    ordinal = build_graph(game, "ordinal", tie_tol)
+    out = {"pure_nash": _nash_labels(game, strict, ordinal)}
+    nash = set(out["pure_nash"])
+    for kind, graph in (("weak", strict), ("strong", ordinal)):
         cond = condensation(graph)
         classes = [set(game.decode(v) for v in cond.components[c])
                    for c in sorted(cond.sinks)]
         states = set().union(*classes) if classes else set()
-        out[kind] = MaximalAnalysis(states, classes, nash)
-    # graph and cond are the ordinal ones from here on
-    comp = cond.component_of.tolist()
-    flags = {
+        out[kind] = MaximalAnalysis(states, classes)
+    # cond is the ordinal graph's from here on
+    comp = cond.component_of
+    out["flags"] = flags = {
         "ordinally_acyclic": not any(
             pol == POSITIVE and comp[v] == comp[w]
-            for v, arcs in enumerate(graph.arcs) for w, pol in arcs),
+            for v, arcs in enumerate(ordinal.arcs) for w, pol in arcs),
         "weakly_acyclic": out["weak"].maximal_states <= nash,
         "weakly_ordinally_acyclic": out["strong"].maximal_states <= nash,
     }
-    out["weak"].flags = out["strong"].flags = out["flags"] = flags
     out["equilibrium_classes"] = [c for c in out["strong"].classes
                                   if c <= nash]
     out["condensation"] = cond

@@ -248,15 +248,17 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
     deterministic procedure; order='all-orders' instead explores every
     sequential single-elimination order (small games only), whose
     terminal restrictions can differ from the round-synchronous result.
+    Any other order, or 'all-orders' with strict dominance, raises
+    ValueError.
     """
+    if kind not in ("strict", "weak"):
+        raise ValueError("kind must be strict or weak")
+    if order not in ("deterministic", "all-orders"):
+        raise ValueError("order must be deterministic or all-orders")
+    if order == "all-orders" and kind == "strict":
+        raise ValueError("all-orders exploration is for weak dominance only")
     restriction = [list(range(c)) for c in game.strategy_counts]
     record = {"kind": kind, "order": order}
-    if kind == "strict":
-        elim, rounds = _eliminate_rounds(game, restriction, True)
-        record.update(eliminations=elim, rounds=rounds, survivors=restriction)
-        return record
-    if kind != "weak":
-        raise ValueError("kind must be strict or weak")
     if order == "all-orders":
         if sum(game.strategy_counts) > 12:
             raise ValueError("all-orders exploration is for small games only")
@@ -264,6 +266,6 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
         _all_weak_orders(game, restriction, terminals)
         record.update(terminal_survivor_sets=terminals)
         return record
-    elim, rounds = _eliminate_rounds(game, restriction, False)
+    elim, rounds = _eliminate_rounds(game, restriction, kind == "strict")
     record.update(eliminations=elim, rounds=rounds, survivors=restriction)
     return record

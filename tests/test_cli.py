@@ -1,6 +1,7 @@
 """The deploylab command-line interface."""
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -157,6 +158,49 @@ class TestAnalyzeGraph:
         with open(dot) as fh:
             text = fh.read()
         assert text.startswith("digraph") and "doublecircle" in text
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _golden(*parts):
+    with open(os.path.join(GOLDEN, *parts), "rb") as fh:
+        return fh.read()
+
+
+class TestOutputBytes:
+    """Exact output bytes: indentation, key order, number formatting and
+    the trailing newline of every file and of stdout."""
+
+    def test_analyze_graph_tie_heavy(self, tmp_path, capsysbinary):
+        # a 3 x 3 identical-interest game with ties: a five-state
+        # component, two sinks and an ordinal potential
+        path = tmp_path / "tie.json"
+        with open(path, "w") as fh:
+            json.dump({"kind": "strategic", "strategy_counts": [3, 3],
+                       "payoffs": [[2, 2], [1, 1], [0, 0], [1, 1], [0, 0],
+                                   [0, 0], [0, 0], [2, 2], [0, 0]]}, fh)
+        dot = tmp_path / "cond.dot"
+        assert main(["analyze-graph", str(path), "--dot", str(dot)]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == _golden("analyze_graph_tie.json")
+        assert captured.err == b""
+        assert dot.read_bytes() == _golden("analyze_graph_tie.dot")
+
+    @pytest.mark.parametrize("argv", [
+        ["--type", "insurance", "--premium", "0.25", "--surplus", "0.5"],
+        ["--type", "election"]])
+    def test_mechanism_n3(self, argv, tmp_path, capsysbinary):
+        out = tmp_path / "m"
+        assert main(["mechanism", "--n", "3", "--benefit=-1,1,2", "--c", "0",
+                     "--out", str(out)] + argv) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == captured.err == b""
+        golden = "mechanism_%s_3" % argv[1]
+        assert sorted(os.listdir(out)) == sorted(os.listdir(
+            os.path.join(GOLDEN, golden)))
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == _golden(golden, name), name
 
 
 class TestMechanism:

@@ -239,6 +239,24 @@ class TestStrategicGame:
             reduced_game(game, [0, 1], (0, 0))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_constructors_reject_non_finite_payoffs(bad):
+    # the gain between two infinite payoffs of one player is NaN, which
+    # has no sign for the deployment graphs to read
+    table = np.zeros((2, 2, 2))
+    table[0, 0, 0] = table[1, 0, 0] = bad
+    A = np.zeros((2, 2))
+    A[1, 0] = bad
+    for build in (lambda: StrategicGame((2, 2), table),
+                  lambda: StrategicGame.from_function((2, 2),
+                                                      lambda s: [bad, 0.0]),
+                  lambda: BimatrixGame(A, np.zeros((2, 2))),
+                  lambda: BimatrixGame(np.zeros((2, 2)), A),
+                  lambda: BimatrixGame.symmetric(A)):
+        with pytest.raises(ValueError, match="payoffs must be finite numbers"):
+            build()
+
+
 class TestSerialization:
     def test_bimatrix_roundtrip(self, tmp_path):
         rng = rng_for(8)

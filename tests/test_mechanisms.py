@@ -267,6 +267,16 @@ class TestIteratedDominance:
         with pytest.raises(ValueError):
             iterated_dominance(game, "very-weak")
 
+    @pytest.mark.parametrize("kind, order", [
+        ("weak", "random"), ("strict", "random"), ("weak", "Deterministic"),
+        ("strict", "all-orders")])
+    def test_unknown_or_mismatched_order(self, kind, order):
+        # a record must not name an order that did not run, and strict
+        # dominance has only the round-synchronous schedule
+        game = StrategicGame((2, 2), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="order|all-orders"):
+            iterated_dominance(game, kind, order)
+
     def test_dominance_solvable_strict(self):
         # prisoner's-dilemma-like: strategy 1 strictly dominates
         table = np.array([[[3.0, 3.0], [0.0, 4.0]],
