@@ -7,7 +7,8 @@
     deploylab experiment --experiment NAME [--trials T] [--dimension D] ...
 
 Exit codes: 0 success, 1 a solver or experiment missed its target, 2
-configuration or input error.  --workers must be at least 1.
+configuration or input error.  --workers must be at least 1.  A game
+too large to analyse exits 2 before any file is written.
 
 mechanism takes --premium and --surplus only with --type insurance, and
 --penalty only with --type election.  experiment rejects a flag the
@@ -143,15 +144,17 @@ def _cmd_mechanism(args):
             raise ValueError("insurance needs --premium and --surplus")
         game = apply_insurance(spec, InsuranceParams(args.premium,
                                                     args.surplus))
-        dom = iterated_dominance(game, "strict")
+        kind = "strict"
     else:
         params = None if args.penalty is None else ElectionParams(args.penalty)
         game = apply_election(spec, params)
-        dom = iterated_dominance(game, "weak")
+        kind = "weak"
+    # a game too large to analyse raises here, before anything is written
+    res = analyze(game)
+    dom = iterated_dominance(game, kind)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_game(game, os.path.join(out_dir, "induced_game.json"))
-    res = analyze(game)
     analysis = {
         "dominance": {
             "kind": dom["kind"],

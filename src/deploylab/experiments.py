@@ -139,8 +139,11 @@ def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     200, 400, 800, 1600, then every 2,000), the candidates of
     hedge_candidates (the last iterate, the orbit's mean and the support
     polish of each) are checked in turn against the equilibrium gap
-    max(Cx) - x.Cx <= eps; 'candidate' names the kind that passed.
+    max(Cx) - x.Cx <= eps; 'candidate' names the kind that passed.  An
+    eps that is not positive and finite raises ValueError.
     """
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     if max_iters < _RESTARTS:
         raise ValueError("max_iters %d is below one iteration per restart "
                          "(%d restarts)" % (max_iters, _RESTARTS))

@@ -295,10 +295,14 @@ class StrategicGame:
         return itertools.product(*[range(c) for c in self.strategy_counts])
 
     def encode(self, profile):
-        idx = 0
-        for c, s in zip(self.strategy_counts, profile):
-            idx = idx * c + s
-        return idx
+        """Profile id; a wrong length or strategy raises ValueError."""
+        try:
+            return int(np.ravel_multi_index(tuple(profile),
+                                            self.strategy_counts))
+        except ValueError:
+            raise ValueError("profile %s is not in a game with strategy "
+                             "counts %s" % (tuple(profile),
+                                            self.strategy_counts)) from None
 
     def decode(self, idx):
         out = []

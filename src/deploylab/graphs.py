@@ -7,6 +7,12 @@ weakly/strongly maximal states.  Pure Nash equilibria are read off the
 same graphs, Nash derived from deployability: a profile is an
 equilibrium exactly when it has no strict-graph arc, and a strict one
 when it has no ordinal-graph arc either.
+
+analyze(game) is the API: it builds and condenses each graph once and
+returns every result.  pure_nash, classify_acyclicity and
+build_ordinal_potential only read one key of it; they stay because the
+benchmark's span recorder (perfbench/spans.py) looks them up by name,
+until its next version drops those targets.
 """
 
 from dataclasses import dataclass
@@ -40,20 +46,22 @@ class MaximalAnalysis:
     classes: list
 
 
-def build_graph(game, kind="strict", tie_tol=0.0, arc_cap=DEFAULT_ARC_CAP):
+def build_graph(game, kind="strict", tie_tol=0.0):
     """Deployment graph of a strategic game.
 
     Polarity is a discrete notion; integer payoff tables with the
     default tie_tol=0 are recommended.  Each profile's arcs are listed
-    by deviating player, then by the strategy deviated to.
+    by deviating player, then by the strategy deviated to.  A profile
+    space needing more than DEFAULT_ARC_CAP arc slots raises ValueError
+    before anything is built.
     """
     if kind not in ("strict", "ordinal"):
         raise ValueError("kind must be strict or ordinal")
     counts = game.strategy_counts
     total_arcs = game.profile_count * (sum(counts) - game.player_count)
-    if total_arcs > arc_cap:
+    if total_arcs > DEFAULT_ARC_CAP:
         raise ValueError("profile space needs %d arc slots, over the cap %d"
-                         % (total_arcs, arc_cap))
+                         % (total_arcs, DEFAULT_ARC_CAP))
     arcs = [[] for _ in range(game.profile_count)]
     ids = np.arange(game.profile_count).reshape(counts)
     for i, c in enumerate(counts):
@@ -138,31 +146,16 @@ def condensation(graph):
     return Condensation(comp_of, components, dag_arcs, sinks)
 
 
-def _nash_labels(game, strict, ordinal):
-    """Profiles without a strict-graph arc, in id order, labelled
-    'strict' when they have no ordinal-graph arc either, else 'weak'."""
-    return {game.decode(v): "weak" if ordinal.arcs[v] else "strict"
-            for v, out in enumerate(strict.arcs) if not out}
-
-
-def pure_nash(game, tol=0.0):
-    """Pure Nash equilibria, labelled 'strict' or 'weak'.
-
-    A deviation gaining more than tol breaks an equilibrium; a strict
-    one also has no deviation losing tol or less.
-    """
-    return _nash_labels(game, build_graph(game, "strict", tol),
-                        build_graph(game, "ordinal", tol))
-
-
 def analyze(game, tie_tol=0.0):
     """The whole maximality analysis of a strategic game, in one pass.
 
     Builds and condenses the strict and the ordinal graph once each and
     reads the pure Nash equilibria off their arcs.  Returns a dict with
-    'pure_nash' (profile -> label), 'weak' and 'strong' (MaximalAnalysis
-    of the strict and the ordinal graph), 'flags', 'equilibrium_classes',
-    'potential' and 'condensation' (of the ordinal graph).
+    'pure_nash' (profile -> 'strict' or 'weak': no deviation gains more
+    than tie_tol, and a strict one has no deviation losing tie_tol or
+    less either), 'weak' and 'strong' (MaximalAnalysis of the strict and
+    the ordinal graph), 'flags', 'equilibrium_classes', 'potential' and
+    'condensation' (of the ordinal graph).
 
     Flags: ordinally_acyclic: every intra-component arc of the ordinal
     graph is neutral (equivalent to admitting an ordinal potential).
@@ -182,7 +175,9 @@ def analyze(game, tie_tol=0.0):
     """
     strict = build_graph(game, "strict", tie_tol)
     ordinal = build_graph(game, "ordinal", tie_tol)
-    out = {"pure_nash": _nash_labels(game, strict, ordinal)}
+    out = {"pure_nash": {game.decode(v): "weak" if ordinal.arcs[v]
+                         else "strict"
+                         for v, arcs in enumerate(strict.arcs) if not arcs}}
     nash = set(out["pure_nash"])
     for kind, graph in (("weak", strict), ("strong", ordinal)):
         cond = condensation(graph)
@@ -214,16 +209,9 @@ def analyze(game, tie_tol=0.0):
     return out
 
 
-def maximal_states(game, kind="weak", tie_tol=0.0):
-    """Weak (strict graph) or strong (ordinal graph) maximal states."""
-    if kind not in ("weak", "strong"):
-        raise ValueError("kind must be weak or strong")
-    return analyze(game, tie_tol)[kind]
-
-
-def strongly_maximal_equilibrium_classes(game, tie_tol=0.0):
-    """Communicating classes of strongly maximal pure Nash equilibria."""
-    return analyze(game, tie_tol)["equilibrium_classes"]
+def pure_nash(game, tol=0.0):
+    """Pure Nash equilibria, labelled 'strict' or 'weak' (see analyze)."""
+    return analyze(game, tol)["pure_nash"]
 
 
 def classify_acyclicity(game, tie_tol=0.0):
@@ -232,7 +220,7 @@ def classify_acyclicity(game, tie_tol=0.0):
 
 
 def build_ordinal_potential(game, tie_tol=0.0):
-    """An ordinal potential (profile -> int), or None if none exists."""
+    """An ordinal potential (profile -> int), or None (see analyze)."""
     return analyze(game, tie_tol)["potential"]
 
 

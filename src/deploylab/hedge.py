@@ -35,8 +35,8 @@ class LearningRateSchedule:
     def __init__(self, form, c, exponent=1.0):
         if form not in ("constant", "harmonic", "power"):
             raise ValueError("unknown schedule form %r" % (form,))
-        if c <= 0:
-            raise ValueError("schedule constant must be positive")
+        if not 0 < c < np.inf:
+            raise ValueError("schedule constant must be positive and finite")
         if form == "power" and not (0.0 < exponent <= 1.0):
             raise ValueError("power exponent must lie in (0, 1]")
         self.form = form

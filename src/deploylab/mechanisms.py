@@ -185,14 +185,24 @@ def apply_election(spec, params=None):
     return StrategicGame.from_function((4,) * spec.n, u)
 
 
-def _dominates(game, restriction, player, b, a, strict):
-    """Does strategy b dominate strategy a for player (within restriction)?"""
-    idx = list(restriction)
-    idx[player] = [a, b]
-    ua, ub = np.moveaxis(game.table[..., player][np.ix_(*idx)], player, 0)
-    if strict:
-        return bool((ub > ua).all())
-    return bool((ub >= ua).all() and (ub > ua).any())
+def _dominated(game, restriction, strict):
+    """Every (player, a, b) with a dominated by b within the restriction,
+    b the first dominator in restriction order; lowest player first,
+    then restriction order.  Each player's payoffs are sliced once and
+    all strategy pairs compared by broadcasting."""
+    out = []
+    for i, own in enumerate(restriction):
+        u = game.table[..., i][np.ix_(*restriction)]
+        u = np.moveaxis(u, i, 0).reshape(len(own), -1)
+        # better[b, a]: b pays more than a against each restricted profile
+        better = u[:, None] > u[None]
+        if strict:
+            dom = better.all(-1)
+        else:
+            dom = (u[:, None] >= u[None]).all(-1) & better.any(-1)
+        for ai in np.flatnonzero(dom.any(0)).tolist():
+            out.append((i, own[ai], own[int(np.argmax(dom[:, ai]))]))
+    return out
 
 
 def _eliminate_rounds(game, restriction, strict):
@@ -203,37 +213,22 @@ def _eliminate_rounds(game, restriction, strict):
     """
     eliminations = []
     rnd = 0
-    while True:
+    while doomed := _dominated(game, restriction, strict):
         rnd += 1
-        doomed = []
-        for i in range(game.player_count):
-            for a in restriction[i]:
-                for b in restriction[i]:
-                    if b != a and _dominates(game, restriction, i, b, a,
-                                             strict):
-                        doomed.append((i, a, b))
-                        break
-        if not doomed:
-            break
         for i, a, b in doomed:
-            restriction[i] = [s for s in restriction[i] if s != a]
+            restriction[i].remove(a)
             eliminations.append((rnd, i, a, b))
-    return eliminations, rnd - 1
+    return eliminations, rnd
 
 
 def _all_weak_orders(game, restriction, terminals):
-    options = []
-    for i in range(game.player_count):
-        for a in restriction[i]:
-            if any(b != a and _dominates(game, restriction, i, b, a, False)
-                   for b in restriction[i]):
-                options.append((i, a))
+    options = _dominated(game, restriction, False)
     if not options:
         terminals.add(tuple(frozenset(r) for r in restriction))
         return
-    for i, a in options:
+    for i, a, _ in options:
         nxt = [list(r) for r in restriction]
-        nxt[i] = [s for s in nxt[i] if s != a]
+        nxt[i].remove(a)
         _all_weak_orders(game, nxt, terminals)
 
 

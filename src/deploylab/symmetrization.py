@@ -47,8 +47,8 @@ class EpsilonBudget:
     rescale: float    # c  (affine map of C into [0,1])
 
     def __post_init__(self):
-        if self.target_eps <= 0:
-            raise ValueError("target_eps must be positive")
+        if not 0 < self.target_eps < np.inf:
+            raise ValueError("target_eps must be positive and finite")
 
     @property
     def ws_on_gkt(self):

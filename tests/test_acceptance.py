@@ -12,10 +12,7 @@ from deploylab.experiments import gen_random_game, hedge_symmetric_solve
 from deploylab.games import (BimatrixGame, StrategicGame,
                              is_approx_equilibrium,
                              support_enumeration_equilibria)
-from deploylab.graphs import (better_response_walk, build_graph,
-                              build_ordinal_potential, classify_acyclicity,
-                              maximal_states, pure_nash,
-                              strongly_maximal_equilibrium_classes)
+from deploylab.graphs import analyze, better_response_walk, build_graph
 from deploylab.hedge import (LearningRateSchedule, check_convexity_bounds,
                              hedge_step, is_fixed_point, relative_entropy,
                              rescale_to_unit, run_hedge, average_iterates)
@@ -231,34 +228,35 @@ def test_criterion_08_discrete_maximality():
     spec = StagHuntSpec(2, (-1.0, 10.0), 0.0)
     game = build_stag_hunt(spec)
     both = {(A, A), (D, D)}
-    a_ok = (maximal_states(game, "weak").maximal_states == both and
-            maximal_states(game, "strong").maximal_states == both and
+    res = analyze(game)
+    a_ok = (res["weak"].maximal_states == both and
+            res["strong"].maximal_states == both and
             len(support_enumeration_equilibria(STAG_HUNT_2)) == 3)
 
     # (b) improvement-cycle game with a unique weak pure equilibrium
-    nash = pure_nash(CYCLE_GAME)
-    b_ok = (list(nash.values()) == ["weak"] and
-            strongly_maximal_equilibrium_classes(CYCLE_GAME) == [] and
-            not classify_acyclicity(CYCLE_GAME)["ordinally_acyclic"])
+    cyc = analyze(CYCLE_GAME)
+    b_ok = (list(cyc["pure_nash"].values()) == ["weak"] and
+            cyc["equilibrium_classes"] == [] and
+            not cyc["flags"]["ordinally_acyclic"])
 
     # (c) random stag hunts are weakly acyclic
     c_ok = True
-    potentials = []
+    potentials = [(game, res["potential"])]
     for trial in range(200):
         n = 2 + trial % 3
         g = build_stag_hunt(gen_random_game("stag-hunt", n, 10800 + trial))
-        if not classify_acyclicity(g)["weakly_acyclic"]:
+        res = analyze(g)
+        if not res["flags"]["weakly_acyclic"]:
             c_ok = False
             break
         if trial < 50:
-            potentials.append(g)
+            potentials.append((g, res["potential"]))
 
     # (d) ordinal potentials, when they exist, satisfy the
     # sign-biconditional on every unilateral deviation
     d_ok = True
     found = 0
-    for g in [game] + potentials:
-        pot = build_ordinal_potential(g)
+    for g, pot in potentials:
         if pot is None:
             continue
         found += 1
@@ -290,8 +288,9 @@ def test_criterion_09_mechanism_theorems():
             ins_ok = False
             break
         target = {(A,) * n}
-        if (maximal_states(game, "weak").maximal_states != target or
-                maximal_states(game, "strong").maximal_states != target):
+        res = analyze(game)
+        if (res["weak"].maximal_states != target or
+                res["strong"].maximal_states != target):
             ins_ok = False
             break
 
@@ -309,16 +308,14 @@ def test_criterion_09_mechanism_theorems():
             for term in allo["terminal_survivor_sets"]:
                 if any(D in side for side in term):
                     ele_ok = False
-        flags = classify_acyclicity(game)
-        strong = maximal_states(game, "strong").maximal_states
-        nash = pure_nash(game)
-        if not flags["weakly_ordinally_acyclic"]:
+        res = analyze(game)
+        if not res["flags"]["weakly_ordinally_acyclic"]:
             ele_ok = False
             break
-        if any(D in s for s in strong):
+        if any(D in s for s in res["strong"].maximal_states):
             ele_ok = False
             break
-        if nash.get((D,) * n) != "weak":
+        if res["pure_nash"].get((D,) * n) != "weak":
             ele_ok = False
             break
     ok = ins_ok and ele_ok
@@ -351,8 +348,9 @@ def test_criterion_11_sink_equivalence():
         players = int(rng.integers(2, 5))
         counts = tuple(int(rng.integers(2, 4)) for _ in range(players))
         game = gen_random_game("strategic", counts, 11100 + gi)
+        analysis = analyze(game)
         for kind, graph_kind in (("weak", "strict"), ("strong", "ordinal")):
-            target = maximal_states(game, kind).maximal_states
+            target = analysis[kind].maximal_states
             graph = build_graph(game, graph_kind)
             for w in range(250):
                 start = tuple(int(rng.integers(c)) for c in counts)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deploylab import cli
+from deploylab import cli, graphs
 from deploylab.cli import main
 from deploylab.games import BimatrixGame, save_game
 
@@ -143,6 +143,19 @@ class TestSymmetrize:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "symmetrize"])
+def test_nan_eps_exits_two_and_writes_nothing(command, stag_hunt_file,
+                                              tmp_path, capsys):
+    # a NaN eps is an input error, caught before any Hedge iteration
+    extra = ["--method", "hedge"] if command == "solve" else []
+    out = tmp_path / "out"
+    assert main([command, stag_hunt_file, "--eps", "nan", "--out",
+                 str(out)] + extra) == 2
+    assert capsys.readouterr().err == \
+        "error: target_eps must be positive and finite\n"
+    assert not out.exists()
+
+
 class TestAnalyzeGraph:
     def test_analysis_and_dot(self, stag_hunt_file, tmp_path):
         out = str(tmp_path / "analysis.json")
@@ -250,6 +263,16 @@ class TestMechanism:
                      "--out", str(out)] + argv) == 2
         assert capsys.readouterr().err == "error: --type %s takes no %s\n" \
             % (argv[1], stray)
+        assert not out.exists()
+
+    def test_game_over_the_arc_cap_writes_nothing(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the analysis fails before induced_game.json is written
+        monkeypatch.setattr(graphs, "DEFAULT_ARC_CAP", 10)
+        out = tmp_path / "el"
+        assert main(["mechanism", "--type", "election", "--n", "2",
+                     "--benefit=-1,10", "--c", "0", "--out", str(out)]) == 2
+        assert "over the cap 10" in capsys.readouterr().err
         assert not out.exists()
 
     def test_insurance_needs_premium(self):

@@ -83,6 +83,12 @@ class TestHedgeSymmetricSolve:
         with pytest.raises(ValueError, match="below one iteration"):
             hedge_symmetric_solve(C, 1e-3, max_iters=_RESTARTS - 1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, float("inf")])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        C = np.random.default_rng([105, 1]).random((10, 10))
+        with pytest.raises(ValueError, match="positive and finite"):
+            hedge_symmetric_solve(C, eps)
+
 
 class TestRunExperiment:
     def test_config_validation(self):

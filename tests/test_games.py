@@ -183,6 +183,12 @@ class TestStrategicGame:
         idx = salt % game.profile_count
         assert game.encode(game.decode(idx)) == idx
 
+    @pytest.mark.parametrize("profile", [(0, 2), (-1, 0), (0,), (0, 0, 0)])
+    def test_encode_rejects_profiles_outside_the_game(self, profile):
+        game = StrategicGame((2, 2), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="not in a game"):
+            game.encode(profile)
+
     def test_deviation_count(self):
         game = StrategicGame((2, 3, 2), np.zeros((2, 3, 2, 3)))
         devs = list(game.deviations((0, 1, 1)))

@@ -8,8 +8,7 @@ from deploylab.games import StrategicGame
 from deploylab.graphs import (DeploymentGraph, NEUTRAL, POSITIVE, analyze,
                               better_response_walk, build_graph,
                               build_ordinal_potential, classify_acyclicity,
-                              condensation, maximal_states, pure_nash,
-                              strongly_maximal_equilibrium_classes)
+                              condensation, pure_nash)
 from deploylab.mechanisms import StagHuntSpec, build_stag_hunt
 from conftest import (naive_deviation_arcs, naive_pure_nash,
                       reachability_sccs, rng_for)
@@ -55,10 +54,14 @@ class TestBuildGraph:
         assert neutral  # the column player has zero-gain deviations
         assert all((w, v) in neutral for v, w in neutral)
 
-    def test_arc_cap(self):
+    def test_arc_cap(self, monkeypatch):
+        # the cap is read at call time; the stag hunt needs 8 arc slots
         game = build_stag_hunt(STAG_SPEC)
-        with pytest.raises(ValueError):
-            build_graph(game, "strict", arc_cap=1)
+        monkeypatch.setattr(graphs, "DEFAULT_ARC_CAP", 7)
+        with pytest.raises(ValueError, match="over the cap 7"):
+            build_graph(game, "strict")
+        monkeypatch.setattr(graphs, "DEFAULT_ARC_CAP", 8)
+        assert build_graph(game, "strict").profile_count == 4
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -162,20 +165,19 @@ class TestPureNash:
 class TestMaximalStates:
     def test_stag_hunt_weak_equals_strong(self):
         game = build_stag_hunt(STAG_SPEC)
-        weak = maximal_states(game, "weak")
-        strong = maximal_states(game, "strong")
-        assert weak.maximal_states == {(0, 0), (1, 1)}
-        assert strong.maximal_states == {(0, 0), (1, 1)}
+        res = analyze(game)
+        assert res["weak"].maximal_states == {(0, 0), (1, 1)}
+        assert res["strong"].maximal_states == {(0, 0), (1, 1)}
 
     def test_ms_game_strong_maximal_is_not_an_equilibrium(self):
-        strong = maximal_states(MS_GAME, "strong")
+        res = analyze(MS_GAME)
         # maximal states exist in every game ...
-        assert strong.maximal_states
+        assert res["strong"].maximal_states
         # ... but none of them is a pure Nash equilibrium here
-        assert not strongly_maximal_equilibrium_classes(MS_GAME)
+        assert not res["equilibrium_classes"]
 
     def test_matching_pennies_maximal_cycle(self):
-        weak = maximal_states(MATCHING_PENNIES, "weak")
+        weak = analyze(MATCHING_PENNIES)["weak"]
         assert weak.maximal_states == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert len(weak.classes) == 1
 
@@ -185,8 +187,9 @@ class TestMaximalStates:
             rng = rng_for(42, trial)
             counts = tuple(rng.integers(2, 4, size=int(rng.integers(2, 4))))
             game = StrategicGame(counts, rng.random(counts + (len(counts),)))
-            weak = maximal_states(game, "weak")
-            nash = set(pure_nash(game))
+            res = analyze(game)
+            weak = res["weak"]
+            nash = set(res["pure_nash"])
             singles = {next(iter(c)) for c in weak.classes if len(c) == 1}
             assert singles <= nash
             assert nash <= weak.maximal_states
@@ -243,7 +246,7 @@ class TestOrdinalPotential:
 class TestBetterResponseWalk:
     def test_absorbs_in_stag_hunt_equilibria(self):
         game = build_stag_hunt(STAG_SPEC)
-        weak = maximal_states(game, "weak")
+        weak = analyze(game)["weak"]
         for seed in range(20):
             out = better_response_walk(game, (0, 1), "strict", seed=seed)
             assert out["absorbed"]
@@ -267,7 +270,7 @@ class TestBetterResponseWalk:
             rng = rng_for(45, trial)
             counts = (2, 2, 3)
             game = StrategicGame(counts, rng.random(counts + (3,)))
-            strong = maximal_states(game, "strong")
+            strong = analyze(game)["strong"]
             graph = build_graph(game, "ordinal")
             for seed in range(10):
                 start = tuple(int(rng.integers(c)) for c in counts)

@@ -44,6 +44,9 @@ class TestSchedules:
             LearningRateSchedule("constant", 0.0)
         with pytest.raises(ValueError):
             LearningRateSchedule("power", 1.0, 1.5)
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                LearningRateSchedule("constant", c)
 
 
 class TestHedgeStep:

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from deploylab.games import StrategicGame
-from deploylab.graphs import (classify_acyclicity, maximal_states, pure_nash,
-                              strongly_maximal_equilibrium_classes)
+from deploylab.graphs import analyze, classify_acyclicity, pure_nash
 from deploylab.mechanisms import (A, AdoptionNetwork, D, ElectionParams,
                                   InsuranceParams, StagHuntSpec, X, Y,
-                                  _dominates, apply_election,
+                                  _dominated, apply_election,
                                   apply_insurance, build_stag_hunt,
                                   iterated_dominance, network_adoption_game)
 
@@ -147,9 +146,9 @@ class TestInsurance:
             assert first == {(i, D) for i in range(spec.n)}
 
     def test_unique_maximal_state(self):
-        game = apply_insurance(SPEC2, InsuranceParams(0.5, 1.0))
-        assert maximal_states(game, "weak").maximal_states == {(A, A)}
-        assert maximal_states(game, "strong").maximal_states == {(A, A)}
+        res = analyze(apply_insurance(SPEC2, InsuranceParams(0.5, 1.0)))
+        assert res["weak"].maximal_states == {(A, A)}
+        assert res["strong"].maximal_states == {(A, A)}
 
 
 class TestElection:
@@ -193,18 +192,15 @@ class TestElection:
         assert nash[(D, D)] == "weak"
 
     def test_strongly_maximal_class(self):
-        game = apply_election(SPEC2)
-        classes = strongly_maximal_equilibrium_classes(game)
+        classes = analyze(apply_election(SPEC2))["equilibrium_classes"]
         assert len(classes) == 1
         expected = {(A, A), (A, Y), (Y, A), (X, X), (X, Y), (Y, X), (Y, Y)}
         assert classes[0] == expected
 
     def test_weakly_ordinally_acyclic_no_d_in_maximal(self):
-        game = apply_election(SPEC3)
-        flags = classify_acyclicity(game)
-        assert flags["weakly_ordinally_acyclic"]
-        strong = maximal_states(game, "strong")
-        assert all(D not in s for s in strong.maximal_states)
+        res = analyze(apply_election(SPEC3))
+        assert res["flags"]["weakly_ordinally_acyclic"]
+        assert all(D not in s for s in res["strong"].maximal_states)
 
 
 class TestIteratedDominance:
@@ -220,20 +216,26 @@ class TestIteratedDominance:
                 assert rec["survivors"] == eliminate_strict_sequential(game)
 
     def test_dominance_matches_naive_loop(self):
+        # tie-heavy integer tables: each dominated strategy within the
+        # restriction is listed once, with its first dominator
         rng = np.random.default_rng(72)
-        for counts in [(3, 3), (2, 3, 2), (1, 3, 3), (3, 2, 2, 2)]:
+        for counts in [(3, 3), (2, 3, 2), (1, 3, 3), (3, 2, 2, 2),
+                       (4, 2), (2, 4, 3)] * 5:
             n = len(counts)
             game = StrategicGame(counts, rng.integers(0, 3, counts + (n,)))
             restriction = [sorted(rng.choice(c, int(rng.integers(1, c + 1)),
                                              replace=False).tolist())
                            for c in counts]
-            for i in range(n):
-                for a in range(counts[i]):
-                    for b in range(counts[i]):
-                        for strict in (True, False):
-                            assert _dominates(game, restriction, i, b, a,
-                                              strict) == naive_dominates(
-                                game, restriction, i, b, a, strict)
+            for strict in (True, False):
+                naive = []
+                for i in range(n):
+                    for a in restriction[i]:
+                        b = next((b for b in restriction[i] if b != a and
+                                  naive_dominates(game, restriction, i, b,
+                                                  a, strict)), None)
+                        if b is not None:
+                            naive.append((i, a, b))
+                assert _dominated(game, restriction, strict) == naive
 
     def test_strict_order_independence_on_insurance(self):
         for n, benefit in [(2, (-1.0, 10.0)), (3, (-1.0, 2.0, 10.0)),

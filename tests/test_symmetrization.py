@@ -121,8 +121,10 @@ class TestEpsilonBudget:
             EpsilonBudget(0.5, rec.scale, 1.0).check_constraint(rec)
 
     def test_positive_eps_required(self):
-        with pytest.raises(ValueError):
-            EpsilonBudget(0.0, 1.0, 1.0)
+        # NaN fails every comparison, so it must fail the range check too
+        for eps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                EpsilonBudget(eps, 1.0, 1.0)
 
 
 class TestWellSupportedConversion:
