@@ -12,11 +12,8 @@ from .games import (
     StrategicGame,
     payoff_vector,
     carrier,
-    best_response_set,
-    is_equalizer,
     is_approx_equilibrium,
     support_enumeration_equilibria,
-    reduced_game,
 )
 from .hedge import (
     LearningRateSchedule,

@@ -30,8 +30,7 @@ from .games import (BimatrixGame, StrategicGame, load_game, save_game,
 from .graphs import analyze
 from .mechanisms import (ElectionParams, InsuranceParams, StagHuntSpec,
                          apply_election, apply_insurance, iterated_dominance)
-from .symmetrization import gkt_symmetrize, normalize_bimatrix, \
-    solve_bimatrix_via_hedge
+from .symmetrization import solve_bimatrix_via_hedge
 
 
 def _write_json(data, path):
@@ -69,11 +68,10 @@ def _cmd_symmetrize(args):
         raise ValueError("symmetrize expects a bimatrix or symmetric game")
     # the solver validates the input, so an input error writes no file
     res = solve_bimatrix_via_hedge(game, args.eps)
-    norm, record = normalize_bimatrix(game)
-    gkt = gkt_symmetrize(norm)
+    record = res["normalization"]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    save_game(BimatrixGame.symmetric(gkt.C),
+    save_game(BimatrixGame.symmetric(res["gkt"].C),
               os.path.join(out_dir, "gkt_game.json"))
     report = {
         "success": res["success"],

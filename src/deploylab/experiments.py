@@ -160,8 +160,7 @@ def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
 
 
 def _trial_random_symmetric(config, t):
-    rng = _trial_rng(config.seed, t)
-    C = rng.random((config.dimension, config.dimension))
+    C = gen_random_game("symmetric", config.dimension, [config.seed, t]).A
     res = hedge_symmetric_solve(C, config.eps, max_iters=config.max_iters,
                                 seed=config.seed * 1000003 + t)
     ok = res["success"]
@@ -189,9 +188,8 @@ def _trial_rps_repulsion(config, t):
 
 
 def _trial_gkt_roundtrip(config, t):
-    rng = _trial_rng(config.seed, t)
-    d = min(config.dimension, 3)
-    game = BimatrixGame(rng.random((d, d)), rng.random((d, d)))
+    game = gen_random_game("bimatrix", min(config.dimension, 3),
+                           [config.seed, t])
     res = solve_bimatrix_via_hedge(game, config.eps,
                                    max_iters=config.max_iters)
     ok = res["success"] and is_approx_equilibrium(

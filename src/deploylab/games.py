@@ -61,9 +61,6 @@ class PayoffOperator:
     def from_callback(cls, func, dimension, bounds=None):
         return cls("nonlinear-callback", dimension, func=func, bounds=bounds)
 
-    def __call__(self, x):
-        return payoff_vector(self, x)
-
 
 def as_operator(op):
     """Coerce a matrix or operator into a PayoffOperator."""
@@ -97,18 +94,6 @@ def carrier(x, tol=0.0):
 
 def is_interior(x, tol=0.0):
     return len(carrier(x, tol)) == len(x)
-
-
-def best_response_set(op, x, tol=DEFAULT_TOL):
-    """Pure strategies within tol of the best payoff against x."""
-    p = payoff_vector(op, x)
-    return set(np.nonzero(p >= p.max() - tol)[0].tolist())
-
-
-def is_equalizer(op, x, tol=DEFAULT_TOL):
-    """True iff the payoff vector at x is constant within tol."""
-    p = payoff_vector(op, x)
-    return p.max() - p.min() <= tol
 
 
 def _check_finite(*tables):
@@ -324,24 +309,6 @@ class StrategicGame:
         m, n = game.shape
         table = np.stack([game.A, game.B], axis=-1)
         return cls((m, n), table)
-
-
-def reduced_game(game, coalition, anchor):
-    """The reduced game on a coalition, outsiders frozen at the anchor."""
-    coalition = sorted(set(coalition))
-    if not coalition or len(coalition) >= game.player_count:
-        raise ValueError("coalition must be a nonempty proper subset of players")
-    anchor = tuple(anchor)
-    counts = tuple(game.strategy_counts[j] for j in coalition)
-
-    def u(sub_profile):
-        full = list(anchor)
-        for j, s in zip(coalition, sub_profile):
-            full[j] = s
-        pay = game.payoffs(tuple(full))
-        return [pay[j] for j in coalition]
-
-    return StrategicGame.from_function(counts, u)
 
 
 def game_to_dict(game):

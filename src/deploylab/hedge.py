@@ -48,20 +48,6 @@ class LearningRateSchedule:
             return self.c
         return self.c / (k + 1) ** self.exponent
 
-    @property
-    def vanishes(self):
-        """a_k -> 0"""
-        return self.form != "constant"
-
-    @property
-    def diverges(self):
-        """sum a_k = +inf: true of every form, since exponent <= 1"""
-        return True
-
-    @property
-    def convergent_schedule(self):
-        return self.vanishes and self.diverges
-
     def __repr__(self):
         return "LearningRateSchedule(%r, c=%g, exponent=%g)" % (
             self.form, self.c, self.exponent)

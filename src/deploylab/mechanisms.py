@@ -87,60 +87,11 @@ class ElectionParams:
             raise ValueError("penalty must exceed the worst investment loss")
 
 
-@dataclass
-class AdoptionNetwork:
-    n: int
-    edges: list                 # undirected (i, j) pairs
-    beta: object                # beta(player, component_size) -> real
-    gamma: tuple                # per-player deployment cost > 0
-
-    def __post_init__(self):
-        self.gamma = tuple(float(g) for g in self.gamma)
-        if len(self.gamma) != self.n:
-            raise ValueError("one deployment cost per player required")
-        if any(g <= 0 for g in self.gamma):
-            raise ValueError("deployment costs must be positive")
-
-    def component_size(self, player, adopters):
-        """Size of player's connected component in the adopter subgraph."""
-        if player not in adopters:
-            return 0
-        adj = {i: [] for i in adopters}
-        for i, j in self.edges:
-            if i in adopters and j in adopters:
-                adj[i].append(j)
-                adj[j].append(i)
-        seen = {player}
-        frontier = [player]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen)
-
-
 def build_stag_hunt(spec):
     def u(profile):
         k = sum(1 for s in profile if s == A)
         return [spec.adopt_payoff(k) if s == A else spec.c for s in profile]
     return StrategicGame.from_function((2,) * spec.n, u)
-
-
-def network_adoption_game(net):
-    """u_i = beta_i(component size among adopters) - gamma_i, or 0."""
-    def u(profile):
-        adopters = {i for i, s in enumerate(profile) if s == A}
-        out = []
-        for i, s in enumerate(profile):
-            if s == A:
-                out.append(net.beta(i, net.component_size(i, adopters)) -
-                           net.gamma[i])
-            else:
-                out.append(0.0)
-        return out
-    return StrategicGame.from_function((2,) * net.n, u)
 
 
 def apply_insurance(spec, params):
@@ -221,7 +172,13 @@ def _eliminate_rounds(game, restriction, strict):
     return eliminations, rnd
 
 
-def _all_weak_orders(game, restriction, terminals):
+def _all_weak_orders(game, restriction, terminals, visited):
+    """Add the terminal of every single-elimination order from the
+    restriction; a restriction already visited adds nothing new."""
+    key = tuple(map(tuple, restriction))
+    if key in visited:
+        return
+    visited.add(key)
     options = _dominated(game, restriction, False)
     if not options:
         terminals.add(tuple(frozenset(r) for r in restriction))
@@ -229,7 +186,7 @@ def _all_weak_orders(game, restriction, terminals):
     for i, a, _ in options:
         nxt = [list(r) for r in restriction]
         nxt[i].remove(a)
-        _all_weak_orders(game, nxt, terminals)
+        _all_weak_orders(game, nxt, terminals, visited)
 
 
 def iterated_dominance(game, kind="strict", order="deterministic"):
@@ -258,7 +215,7 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
         if sum(game.strategy_counts) > 12:
             raise ValueError("all-orders exploration is for small games only")
         terminals = set()
-        _all_weak_orders(game, restriction, terminals)
+        _all_weak_orders(game, restriction, terminals, set())
         record.update(terminal_survivor_sets=terminals)
         return record
     elim, rounds = _eliminate_rounds(game, restriction, kind == "strict")

@@ -205,11 +205,10 @@ DEFAULT_RESTARTS = (
 _SEGMENT = 20000
 
 
-def _verify_chain(orig, gkt_game, C0, pair_unit, budget, eps):
+def _verify_chain(orig, gkt_game, unit_game, gkt_bimatrix, pair_unit,
+                  budget, eps):
     """Re-verify every epsilon level; returns (report, recovered pair)."""
     p0, q0 = pair_unit
-    unit_game = BimatrixGame(C0, C0.T)
-    gkt_bimatrix = BimatrixGame(gkt_game.C, gkt_game.C.T)
     report = {
         "ws_on_unit": is_approx_equilibrium(
             unit_game, (p0, q0), budget.ws_on_unit, "well-supported"),
@@ -241,26 +240,29 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     chain plus the final bimatrix predicate are re-verified before a
     pair is returned; diagnostics['candidate'] names the kind that
     passed.  On failure the diagnostics report the best gap achieved;
-    no pair is fabricated.
+    no pair is fabricated.  Every result, a 1x1 game's included, carries
+    the GKT game ('gkt') and the NormalizationRecord ('normalization')
+    it was built from.
     """
     if max_iters < len(DEFAULT_RESTARTS):
         raise ValueError("max_iters %d is below one iteration per schedule "
                          "(%d schedules)" % (max_iters, len(DEFAULT_RESTARTS)))
-    m, n_cols = game.shape
-    if m == 1 and n_cols == 1:
-        pair = (np.array([1.0]), np.array([1.0]))
-        return {"success": True, "pair": pair, "iterations": 0,
-                "diagnostics": {"trivial": True}}
     norm_game, record = normalize_bimatrix(game)
     gkt_game = gkt_symmetrize(norm_game)
     # C spans exactly [-1, 1] (literal +-1 entries, normalized A and B)
     rescale = 1.0 / 3.0
-    C0 = (gkt_game.C + 2.0) * rescale
     budget = EpsilonBudget(eps, record.scale, rescale)
+    built = {"gkt": gkt_game, "normalization": record}
+    if game.shape == (1, 1):
+        pair = (np.array([1.0]), np.array([1.0]))
+        return {"success": True, "pair": pair, "iterations": 0,
+                "diagnostics": {"trivial": True}, **built}
     budget.check_constraint(record)
     eps_ws = budget.ws_on_unit
+    C0 = (gkt_game.C + 2.0) * rescale
     n = C0.shape[0]
     unit_game = BimatrixGame(C0, C0.T)
+    gkt_bimatrix = BimatrixGame(gkt_game.C, gkt_game.C.T)
 
     orbits = ((np.ones(n) / n, sched) for sched in DEFAULT_RESTARTS)
     total_iters = 0
@@ -277,8 +279,8 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
                     unit_game, cand, cand, level, check_precondition=False)
             except ValueError:
                 continue
-            report, pair = _verify_chain(game, gkt_game, C0, (p0, q0),
-                                         budget, eps)
+            report, pair = _verify_chain(game, gkt_game, unit_game,
+                                         gkt_bimatrix, (p0, q0), budget, eps)
             if pair is not None:
                 return {
                     "success": True,
@@ -296,6 +298,7 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
                         "candidate": kind,
                         "best_gap_on_unit": best_gap,
                     },
+                    **built,
                 }
     return {
         "success": False,
@@ -305,4 +308,5 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
             "best_gap_on_unit": best_gap,
             "trace_tail": last,
         },
+        **built,
     }

@@ -43,13 +43,6 @@ def naive_matvec(C, x):
     return np.array(out)
 
 
-def naive_best_responses(C, x, tol=1e-9):
-    """Argmax set of the payoff vector by exhaustive scan."""
-    p = naive_matvec(C, x)
-    best = max(p)
-    return {i for i in range(len(x)) if p[i] >= best - tol}
-
-
 def naive_bimatrix_gains(A, B, p, q):
     """(row gain, column gain) of a profile by explicit scans."""
     row_payoffs = [sum(A[i][j] * q[j] for j in range(A.shape[1]))

@@ -10,6 +10,7 @@ import pytest
 from deploylab import cli, graphs
 from deploylab.cli import main
 from deploylab.games import BimatrixGame, save_game
+from deploylab.symmetrization import gkt_symmetrize, normalize_bimatrix
 
 
 @pytest.fixture
@@ -63,7 +64,10 @@ class TestSolve:
 
 
 def _failed_solve(game, eps):
-    return {"success": False, "iterations": 7, "pair": None}
+    # like the real solver, a miss carries the GKT game and its record
+    norm, record = normalize_bimatrix(game)
+    return {"success": False, "iterations": 7, "pair": None,
+            "gkt": gkt_symmetrize(norm), "normalization": record}
 
 
 class TestSolverMissExitCode:
@@ -143,6 +147,37 @@ class TestSymmetrize:
         assert not out.exists()
 
 
+@pytest.fixture
+def one_by_one_file(tmp_path):
+    path = tmp_path / "one.json"
+    save_game(BimatrixGame([[1.0]], [[2.0]]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "hedge", "--eps", "nan"],
+    ["symmetrize", "--eps=-1"]])
+def test_one_by_one_bad_eps_exits_two_and_writes_nothing(
+        argv, one_by_one_file, tmp_path, capsys):
+    # a 1x1 game has a trivial equilibrium, but its eps is still checked
+    out = tmp_path / "out"
+    assert main(argv[:1] + [one_by_one_file, "--out", str(out)] +
+                argv[1:]) == 2
+    assert capsys.readouterr().err == \
+        "error: target_eps must be positive and finite\n"
+    assert not out.exists()
+
+
+def test_one_by_one_skips_the_eps_constraint(one_by_one_file, tmp_path):
+    # eps = 0.5 breaks eps < 1/3, which only a Hedge run needs
+    out = tmp_path / "eq.json"
+    assert main(["solve", one_by_one_file, "--method", "hedge", "--eps",
+                 "0.5", "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert json.load(fh) == {"method": "hedge", "success": True,
+                                 "iterations": 0, "pair": [[1.0], [1.0]]}
+
+
 @pytest.mark.parametrize("command", ["solve", "symmetrize"])
 def test_nan_eps_exits_two_and_writes_nothing(command, stag_hunt_file,
                                               tmp_path, capsys):
@@ -181,6 +216,14 @@ def _golden(*parts):
         return fh.read()
 
 
+def _assert_golden_dir(out, golden):
+    """out holds the files of GOLDEN/golden, byte for byte."""
+    assert sorted(os.listdir(out)) == sorted(os.listdir(
+        os.path.join(GOLDEN, golden)))
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == _golden(golden, name), name
+
+
 class TestOutputBytes:
     """Exact output bytes: indentation, key order, number formatting and
     the trailing newline of every file and of stdout."""
@@ -209,11 +252,15 @@ class TestOutputBytes:
                      "--out", str(out)] + argv) == 0
         captured = capsysbinary.readouterr()
         assert captured.out == captured.err == b""
-        golden = "mechanism_%s_3" % argv[1]
-        assert sorted(os.listdir(out)) == sorted(os.listdir(
-            os.path.join(GOLDEN, golden)))
-        for name in os.listdir(out):
-            assert (out / name).read_bytes() == _golden(golden, name), name
+        _assert_golden_dir(out, "mechanism_%s_3" % argv[1])
+
+    def test_symmetrize_stag_hunt(self, stag_hunt_file, tmp_path,
+                                  capsysbinary):
+        out = tmp_path / "s"
+        assert main(["symmetrize", stag_hunt_file, "--out", str(out)]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == captured.err == b""
+        _assert_golden_dir(out, "symmetrize_stag_hunt")
 
 
 class TestMechanism:

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deploylab.games import (BimatrixGame, PayoffOperator, StrategicGame,
-                             as_operator, best_response_set, carrier,
-                             game_from_dict, game_to_dict, is_approx_equilibrium,
-                             is_equalizer, is_interior, load_game,
-                             payoff_vector, reduced_game, save_game,
+                             as_operator, carrier, game_from_dict,
+                             game_to_dict, is_approx_equilibrium, is_interior,
+                             load_game, payoff_vector, save_game,
                              support_enumeration_equilibria, validate_mixed)
-from conftest import (naive_best_responses, naive_bimatrix_gains,
-                      naive_matvec, random_simplex, rng_for)
+from conftest import (naive_bimatrix_gains, naive_matvec, random_simplex,
+                      rng_for)
 
 MATCHING_PENNIES = (np.array([[1.0, -1.0], [-1.0, 1.0]]),
                     np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -61,7 +60,7 @@ class TestPayoffOperator:
     def test_callback_operator(self):
         op = PayoffOperator.from_callback(lambda x: x ** 2, 3)
         x = np.array([0.5, 0.3, 0.2])
-        assert np.allclose(op(x), x ** 2)
+        assert np.allclose(payoff_vector(op, x), x ** 2)
 
     def test_callback_arity_checked(self):
         op = PayoffOperator.from_callback(lambda x: x[:2], 3)
@@ -81,18 +80,6 @@ class TestCarrierAndResponses:
     def test_interior(self):
         assert is_interior([0.2, 0.3, 0.5])
         assert not is_interior([0.5, 0.5, 0.0])
-
-    def test_best_responses_match_exhaustive_scan(self):
-        for trial in range(20):
-            rng = rng_for(2, trial)
-            n = int(rng.integers(2, 9))
-            C = rng.random((n, n))
-            x = random_simplex(rng, n)
-            assert best_response_set(C, x) == naive_best_responses(C, x)
-
-    def test_equalizer(self, rps):
-        assert is_equalizer(rps, np.ones(3) / 3)
-        assert not is_equalizer(rps, np.array([0.6, 0.2, 0.2]))
 
 
 class TestApproxEquilibrium:
@@ -212,20 +199,6 @@ class TestStrategicGame:
                 assert game.payoff((i, j), 0) == A[i, j]
                 assert game.payoff((i, j), 1) == B[i, j]
 
-    def test_reduced_game_matches_table_slice(self):
-        rng = rng_for(7)
-        counts = (2, 3, 2)
-        table = rng.random(counts + (3,))
-        game = StrategicGame(counts, table)
-        anchor = (1, 2, 0)
-        sub = reduced_game(game, [0, 2], anchor)
-        assert sub.strategy_counts == (2, 2)
-        for a in range(2):
-            for b in range(2):
-                full = (a, anchor[1], b)
-                assert sub.payoff((a, b), 0) == game.payoff(full, 0)
-                assert sub.payoff((a, b), 1) == game.payoff(full, 2)
-
     def test_table_shape_contract(self):
         flat = np.arange(12.0).reshape(6, 2)
         game = StrategicGame((2, 3), flat)
@@ -236,13 +209,6 @@ class TestStrategicGame:
                 StrategicGame((2, 3), np.zeros(shape))
         with pytest.raises(ValueError, match="at least one strategy"):
             StrategicGame((2, 0), np.zeros((0, 2)))
-
-    def test_reduced_game_rejects_bad_coalitions(self):
-        game = StrategicGame((2, 2), np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            reduced_game(game, [], (0, 0))
-        with pytest.raises(ValueError):
-            reduced_game(game, [0, 1], (0, 0))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

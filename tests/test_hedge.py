@@ -30,13 +30,6 @@ class TestSchedules:
         assert LearningRateSchedule("harmonic", 2.0).rate(3) == 0.5
         assert LearningRateSchedule("power", 1.0, 0.5).rate(3) == 0.5
 
-    def test_convergence_flags(self):
-        assert not LearningRateSchedule("constant", 0.1).vanishes
-        harmonic = LearningRateSchedule("harmonic", 1.0)
-        assert harmonic.vanishes and harmonic.diverges
-        assert harmonic.convergent_schedule
-        assert LearningRateSchedule("power", 1.0, 0.5).convergent_schedule
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             LearningRateSchedule("geometric", 1.0)

@@ -1,17 +1,17 @@
-"""Stag hunts, network adoption, insurance/election, iterated dominance."""
+"""Stag hunts, insurance/election, iterated dominance."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from deploylab.experiments import gen_random_game
 from deploylab.games import StrategicGame
 from deploylab.graphs import analyze, classify_acyclicity, pure_nash
-from deploylab.mechanisms import (A, AdoptionNetwork, D, ElectionParams,
-                                  InsuranceParams, StagHuntSpec, X, Y,
-                                  _dominated, apply_election,
-                                  apply_insurance, build_stag_hunt,
-                                  iterated_dominance, network_adoption_game)
+from deploylab.mechanisms import (A, D, ElectionParams, InsuranceParams,
+                                  StagHuntSpec, X, Y, _dominated,
+                                  apply_election, apply_insurance,
+                                  build_stag_hunt, iterated_dominance)
 
 
 def naive_dominates(game, restriction, player, b, a, strict):
@@ -29,6 +29,24 @@ def naive_dominates(game, restriction, player, b, a, strict):
             return False
         some_strict = some_strict or ub > ua
     return some_strict
+
+
+def weak_order_terminals(game, restriction):
+    """Terminal restrictions of every sequential single weak-dominance
+    elimination order, by plain recursion with no memo."""
+    options = [(i, a) for i in range(game.player_count)
+               for a in restriction[i]
+               if any(b != a and naive_dominates(game, restriction, i, b, a,
+                                                 False)
+                      for b in restriction[i])]
+    if not options:
+        return {tuple(frozenset(r) for r in restriction)}
+    out = set()
+    for i, a in options:
+        nxt = [list(r) for r in restriction]
+        nxt[i].remove(a)
+        out |= weak_order_terminals(game, nxt)
+    return out
 
 
 def eliminate_strict_sequential(game):
@@ -84,31 +102,6 @@ class TestBuildStagHunt:
     def test_weakly_acyclic(self):
         for spec in (SPEC2, SPEC3):
             assert classify_acyclicity(build_stag_hunt(spec))["weakly_acyclic"]
-
-
-class TestNetworkAdoption:
-    def test_line_network_component_payoffs(self):
-        net = AdoptionNetwork(3, [(0, 1), (1, 2)],
-                              beta=lambda i, k: float(k),
-                              gamma=(0.5, 0.5, 0.5))
-        game = network_adoption_game(net)
-        # endpoints adopting without the middle are isolated
-        assert game.payoff((A, D, A), 0) == 1.0 - 0.5
-        assert game.payoff((A, A, A), 0) == 3.0 - 0.5
-        assert game.payoff((A, A, D), 1) == 2.0 - 0.5
-        assert game.payoff((D, A, A), 0) == 0.0
-
-    def test_component_size(self):
-        net = AdoptionNetwork(4, [(0, 1), (2, 3)],
-                              beta=lambda i, k: k, gamma=(1,) * 4)
-        assert net.component_size(0, {0, 1, 2}) == 2
-        assert net.component_size(0, {1, 2}) == 0
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            AdoptionNetwork(2, [], beta=lambda i, k: k, gamma=(1.0,))
-        with pytest.raises(ValueError):
-            AdoptionNetwork(2, [], beta=lambda i, k: k, gamma=(1.0, 0.0))
 
 
 class TestInsurance:
@@ -187,6 +180,16 @@ class TestElection:
                     pays = game.payoffs((s0, s1))
                     assert (pays == target).all()
 
+    def test_all_orders_drop_defection_at_n3(self):
+        # criterion 9's three-player election games (seeds 10950 + odd
+        # trial): no elimination order lets D survive
+        for trial in range(1, 20, 2):
+            spec = gen_random_game("stag-hunt", 3, 10950 + trial)
+            rec = iterated_dominance(apply_election(spec), "weak",
+                                     "all-orders")
+            for term in rec["terminal_survivor_sets"]:
+                assert all(D not in side for side in term), trial
+
     def test_defection_remains_weak_nash(self):
         nash = pure_nash(apply_election(SPEC2))
         assert nash[(D, D)] == "weak"
@@ -257,6 +260,17 @@ class TestIteratedDominance:
             for p, q in support_enumeration_equilibria(bim):
                 assert set(np.nonzero(p > 1e-9)[0]) <= set(rec["survivors"][0])
                 assert set(np.nonzero(q > 1e-9)[0]) <= set(rec["survivors"][1])
+
+    def test_all_orders_matches_unmemoized_recursion(self):
+        # tie-heavy integer tables reach one restriction by many orders
+        rng = np.random.default_rng(73)
+        for counts in [(2, 3), (3, 3), (2, 2, 2), (1, 3, 2)] * 5:
+            n = len(counts)
+            game = StrategicGame(counts, rng.integers(0, 3, counts + (n,)))
+            rec = iterated_dominance(game, "weak", "all-orders")
+            full = [list(range(c)) for c in counts]
+            assert rec["terminal_survivor_sets"] == \
+                weak_order_terminals(game, full)
 
     def test_all_orders_size_guard(self):
         game = StrategicGame((4, 4, 4, 4),
