@@ -137,10 +137,12 @@ def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     max_iters % _RESTARTS is unused.  A budget below _RESTARTS raises
     ValueError.  At each checkpoint of each restart (iterations 100,
     200, 400, 800, 1600, then every 2,000), the candidates of
-    hedge_candidates (the last iterate, the orbit's mean and the support
-    polish of each) are checked in turn against the equilibrium gap
-    max(Cx) - x.Cx <= eps; 'candidate' names the kind that passed.  An
-    eps that is not positive and finite raises ValueError.
+    hedge_candidates (the last iterate, the orbit's mean, the support
+    polish of each and the support search from each polish) are checked
+    in turn against the equilibrium gap max(Cx) - x.Cx <= eps;
+    'candidate' names the kind that passed.  The search runs only at a
+    checkpoint where the other four kinds all fail.  An eps that is not
+    positive and finite raises ValueError.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")

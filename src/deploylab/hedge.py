@@ -5,8 +5,9 @@ T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
 hedge_candidates, the candidate engine of both Hedge solvers:
-Hedge proposes candidates, and support_polish solves each one's leading
-supports exactly.
+Hedge proposes candidates, support_polish solves each one's leading
+supports exactly, and support_search descends from there over
+neighbouring supports.
 """
 
 import math
@@ -182,35 +183,85 @@ def _gap(C, x):
     return float(p.max() - x @ p)
 
 
+def _solve_support(C, S):
+    """The symmetric equalizer of C on the support S, as (z, gap), or None.
+
+    Solves the equalization system of C on S: z on S with (Cz)_i equal
+    for every i in S and sum z = 1.  A singular system or a solution
+    with a negative weight gives None.
+    """
+    S = list(S)
+    eqs, rhs = _equalization_system(C, S, S)
+    try:
+        sol = np.linalg.solve(eqs, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    r = len(S)
+    if not np.isfinite(sol).all() or (sol[:r] < 0).any():
+        return None
+    z = np.zeros(C.shape[0])
+    z[S] = sol[:r]
+    return z, _gap(C, z)
+
+
 def support_polish(C, x):
     """The best symmetric equalizer on the leading supports of x.
 
     Sorts x's weights in descending order (stable) and, for r = 1..n,
-    solves the equalization system of C on the top-r support S: z on S
-    with (Cz)_i equal for every i in S and sum z = 1.  Singular systems
-    and solutions with a negative weight are skipped.  Returns (z, gap)
+    solves C on the top-r support with _solve_support.  Returns (z, gap)
     for the solution of smallest gap max(Cz) - z.Cz, or None.  Adding a
     constant to a column of C adds the same amount to every payoff, so
     it changes neither z nor its gap.
     """
-    n = len(x)
     order = np.argsort(-x, kind="stable")
     best = None
-    for r in range(1, n + 1):
-        S = order[:r]
-        eqs, rhs = _equalization_system(C, S, S)
-        try:
-            sol = np.linalg.solve(eqs, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(sol).all() or (sol[:r] < 0).any():
-            continue
-        z = np.zeros(n)
-        z[S] = sol[:r]
-        gap = _gap(C, z)
-        if best is None or gap < best[1]:
-            best = (z, gap)
+    for r in range(1, len(x) + 1):
+        solved = _solve_support(C, order[:r])
+        if solved is not None and (best is None or solved[1] < best[1]):
+            best = solved
     return best
+
+
+def _neighbours(S, n):
+    """The supports one strategy away from the sorted tuple S: one
+    strategy dropped, one added, or one swapped for another."""
+    rest = [j for j in range(n) if j not in S]
+    if len(S) > 1:
+        for i in S:
+            yield tuple(s for s in S if s != i)
+    for j in rest:
+        yield tuple(sorted(S + (j,)))
+    for i in S:
+        for j in rest:
+            yield tuple(sorted([s for s in S if s != i] + [j]))
+
+
+def support_search(C, start):
+    """Local descent over supports from the support of start = (z, gap).
+
+    While the gap drops, moves to the neighbour support (see _neighbours)
+    whose _solve_support solution has the smallest gap; no support is
+    solved twice.  Returns the (z, gap) the descent ends at, start itself
+    when no neighbour beats it.  This is the support search of Porter,
+    Nudelman & Shoham (GEB 63, 2008), started from the support that
+    Hedge ranks first instead of from the smallest supports.
+    """
+    n = C.shape[0]
+    best = start
+    support = tuple(np.flatnonzero(start[0]).tolist())
+    seen = {support}
+    while True:
+        step, bound = None, best[1]
+        for T in _neighbours(support, n):
+            if T in seen:
+                continue
+            seen.add(T)
+            solved = _solve_support(C, T)
+            if solved is not None and solved[1] < bound:
+                step, bound = (T, solved), solved[1]
+        if step is None:
+            return best
+        support, best = step
 
 
 def hedge_candidates(C, orbits, per_orbit, segment):
@@ -223,11 +274,14 @@ def hedge_candidates(C, orbits, per_orbit, segment):
     an early orbit is checked often and a long one once per segment.  At
     each checkpoint this yields (orbit, iterations, kind, strategy, gap)
     for Hedge's own kinds 'last' (the current iterate) and 'all' (the
-    orbit's mean), then for 'polish-last' and 'polish-all', the
-    support_polish of each (skipped when no support gives a solution).
+    orbit's mean), then 'polish-last' and 'polish-all', the
+    support_polish of each (skipped when no support gives a solution),
+    then 'search-last' and 'search-all', the support_search from each
+    polish (skipped when the descent does not beat the polish gap).
     iterations counts every iteration so far over all orbits; gap is
     max(Cx) - x.Cx.  The generator is lazy: a consumer that stops at a
-    Hedge kind never pays for its polish.
+    Hedge kind never pays for its polish, and one that stops at a polish
+    kind never pays for the search.
     """
     used = 0
     for orbit, (x, schedule) in enumerate(orbits):
@@ -245,10 +299,16 @@ def hedge_candidates(C, orbits, per_orbit, segment):
             candidates = (("last", x), ("all", running / done))
             for kind, cand in candidates:
                 yield orbit, used, kind, cand, _gap(C, cand)
+            polished = []
             for kind, cand in candidates:
-                polished = support_polish(C, cand)
-                if polished is not None:
-                    yield (orbit, used, "polish-" + kind) + polished
+                found = support_polish(C, cand)
+                if found is not None:
+                    polished.append((kind, found))
+                    yield (orbit, used, "polish-" + kind) + found
+            for kind, found in polished:
+                searched = support_search(C, found)
+                if searched[1] < found[1]:
+                    yield (orbit, used, "search-" + kind) + searched
             if trace.stop_reason == "fixed-point":
                 break
             check = (2 * check if 2 * check < segment

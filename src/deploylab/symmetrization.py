@@ -235,7 +235,8 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     unused; a budget below one iteration per schedule raises ValueError.
     Candidate strategies come from hedge_candidates at each checkpoint
     (iterations 100, 200, ..., 12,800, then every 20,000): the last
-    iterate, the orbit's mean and the support polish of each.  Each
+    iterate, the orbit's mean, the support polish of each and, when
+    those four fail, the support search from each polish.  Each
     candidate is purged to a well-supported point and the whole epsilon
     chain plus the final bimatrix predicate are re-verified before a
     pair is returned; diagnostics['candidate'] names the kind that

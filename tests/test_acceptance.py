@@ -135,21 +135,25 @@ def test_criterion_04_rps_repulsion_and_averaging():
 
 def test_criterion_05_random_symmetric_study():
     failures = []
-    polished = 0
+    wins = {"hedge": 0, "polish": 0, "search": 0}
+    iterations = 0
     for trial in range(100):
         rng = rng_for(105, trial)
         C = rng.random((10, 10))
         res = hedge_symmetric_solve(C, 1e-3, max_iters=10**6, seed=trial)
+        iterations += res["iterations"]
         good = res["success"] and is_approx_equilibrium(
             C, res["strategy"], 1e-3, "symmetric")
         if not good:
             failures.append(trial)
-        elif res["candidate"].startswith("polish-"):
-            polished += 1
+        else:
+            family = res["candidate"].partition("-")[0]
+            wins[family if family in wins else "hedge"] += 1
     ok = len(failures) <= 5
     solved = 100 - len(failures)
-    detail = "%d/100 solved (%d hedge, %d polish)" % (
-        solved, solved - polished, polished)
+    detail = ("%d/100 solved (%d hedge, %d polish, %d search), "
+              "%d iterations" % (solved, wins["hedge"], wins["polish"],
+                                 wins["search"], iterations))
     if failures:
         detail += "; failing seeds %r" % (failures,)
     record_criterion(5, ok, detail)
@@ -158,6 +162,8 @@ def test_criterion_05_random_symmetric_study():
 
 def test_criterion_06_gkt_roundtrip():
     ok = True
+    solved = iterations = 0
+    kinds = {}
     for trial in range(25):
         rng = rng_for(106, trial)
         game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
@@ -172,7 +178,13 @@ def test_criterion_06_gkt_roundtrip():
         if not is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix"):
             ok = False
             break
-    record_criterion(6, ok)
+        solved += 1
+        iterations += res["iterations"]
+        kind = res["diagnostics"]["candidate"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    record_criterion(6, ok, "%d/25 solved, %d iterations; wins %s" % (
+        solved, iterations, ", ".join(
+            "%s %d" % kv for kv in sorted(kinds.items()))))
     assert ok
 
 

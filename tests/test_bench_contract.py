@@ -18,6 +18,7 @@ import numpy as np
 
 from deploylab import cli, experiments
 from deploylab.games import BimatrixGame, StrategicGame, save_game
+from deploylab.hedge import hedge_candidates
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -52,8 +53,10 @@ def _record(run):
 
 
 def test_recorder_reads_the_real_package(tmp_path):
-    # criterion-5 game 12 takes three restarts at this budget, so the
-    # orbits are paused and continued at k0 > 0
+    # the solver certifies criterion-5 game 12 on its first orbit, so
+    # the paused and continued orbits come from consuming every
+    # candidate of all ten restarts at 300 iterations each (checkpoints
+    # 100, 200, 300: k0 = 0, then k0 > 0)
     C = np.random.default_rng([105, 12]).random((10, 10))
     rng = np.random.default_rng([106, 0])
     game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
@@ -64,6 +67,9 @@ def test_recorder_reads_the_real_package(tmp_path):
     def run():
         res = experiments.hedge_symmetric_solve(C, 1e-3, max_iters=10**4,
                                                 seed=12)
+        for _ in hedge_candidates(C, experiments._restart_orbits(10, 12),
+                                  300, experiments._SEGMENT):
+            pass
         return res, cli.main(["solve", str(path), "--method", "hedge",
                               "--out", str(out)])
 

@@ -49,7 +49,7 @@ class TestHedgeSymmetricSolve:
         first = next((orbit, used) for orbit, used, kind, _, gap
                      in hedge_candidates(C, _restart_orbits(10, 4),
                                          10**6 // _RESTARTS, _SEGMENT)
-                     if not kind.startswith("polish-") and gap <= 1e-3)
+                     if kind in ("last", "all") and gap <= 1e-3)
         assert first == (3, 304000)
 
     def test_pinned_polished_solve(self):
@@ -69,11 +69,11 @@ class TestHedgeSymmetricSolve:
         assert is_approx_equilibrium(C, res["strategy"], 1e-3, "symmetric")
 
     def test_failure_names_no_candidate(self):
-        # criterion-5 game 71 is not solved in 100 iterations per
+        # this 6x6 game is not solved at eps 1e-4 in 100 iterations per
         # restart; the remainder of the budget is unused
-        C = np.random.default_rng([105, 71]).random((10, 10))
+        C = np.random.default_rng([205, 91]).random((6, 6))
         res = hedge_symmetric_solve(
-            C, 1e-3, max_iters=100 * _RESTARTS + _RESTARTS - 1, seed=71)
+            C, 1e-4, max_iters=100 * _RESTARTS + _RESTARTS - 1, seed=91)
         assert not res["success"] and res["candidate"] is None
         assert res["iterations"] == 100 * _RESTARTS
         assert res["restarts"] == _RESTARTS

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deploylab.experiments import _restart_orbits
+from deploylab import hedge
+from deploylab.experiments import _RESTARTS, _SEGMENT, _restart_orbits
 from deploylab.games import (BimatrixGame, PayoffOperator,
                              support_enumeration_equilibria)
 from deploylab.hedge import (LearningRateSchedule, average_iterates,
                              check_convexity_bounds, hedge_candidates,
                              hedge_step, is_fixed_point, relative_entropy,
-                             rescale_to_unit, run_hedge, support_polish)
+                             rescale_to_unit, run_hedge, support_polish,
+                             support_search)
 from conftest import (dominant_column_game, naive_matvec, random_simplex,
                       rng_for)
 
@@ -221,8 +223,10 @@ class TestRunHedge:
 
 class TestHedgeCandidates:
     def test_kind_order(self):
-        C = rng_for(24).random((3, 3))
-        orbits = [(np.ones(3) / 3, LearningRateSchedule("power", 1.0, 0.5))]
+        # a game whose prefix polish misses at every checkpoint, so the
+        # search beats it and all six kinds are yielded
+        C = rng_for(24, 0).random((4, 4))
+        orbits = [(np.ones(4) / 4, LearningRateSchedule("power", 1.0, 0.5))]
         out = list(hedge_candidates(C, orbits, 40, 10))
         by_segment = {}
         for orbit, iters, kind, _, _ in out:
@@ -230,7 +234,32 @@ class TestHedgeCandidates:
             by_segment.setdefault(iters, []).append(kind)
         assert sorted(by_segment) == [10, 20, 30, 40]
         for kinds in by_segment.values():
-            assert kinds == ["last", "all", "polish-last", "polish-all"]
+            assert kinds == ["last", "all", "polish-last", "polish-all",
+                             "search-last", "search-all"]
+
+    def test_search_is_lazy(self, monkeypatch):
+        # criterion-5 game 4 is certified by polish-last at iteration
+        # 100; a consumer stopping there never runs the search
+        calls = []
+
+        def counting_search(C, start):
+            calls.append(start)
+            return start
+
+        monkeypatch.setattr(hedge, "support_search", counting_search)
+        C = np.random.default_rng([105, 4]).random((10, 10))
+        gen = hedge_candidates(C, _restart_orbits(10, 4),
+                               10**6 // _RESTARTS, _SEGMENT)
+        for _, iters, kind, _, gap in gen:
+            if gap <= 1e-3:
+                break
+        assert (iters, kind) == (100, "polish-last")
+        assert calls == []
+        # rejecting the rest of the checkpoint does run it
+        for _, iters, kind, _, _ in gen:
+            if iters > 100:
+                break
+        assert len(calls) == 2
 
     def test_hedge_kinds_match_plain_means(self):
         C = rng_for(25).random((4, 4))
@@ -319,15 +348,23 @@ class TestHedgeCandidates:
 class TestSupportPolish:
     def test_polish_is_an_enumerated_equilibrium(self):
         sched = LearningRateSchedule("power", 1.0, 0.5)
-        for trial in range(12):
+        searched = 0
+        for trial in range(40):
             rng = rng_for(26, trial)
             n = int(rng.integers(2, 6))
             C = rng.random((n, n))
             eqs = support_enumeration_equilibria(BimatrixGame.symmetric(C))
             exact = 0
-            for _, _, kind, z, gap in hedge_candidates(
+            gaps = {}
+            for _, iters, kind, z, gap in hedge_candidates(
                     C, [(np.ones(n) / n, sched)], 1000, 100):
-                if not kind.startswith("polish-"):
+                gaps[iters, kind] = gap
+                if kind.startswith("search-"):
+                    # yielded only when the descent beat its polish
+                    polish = gaps[iters, kind.replace("search", "polish")]
+                    assert gap < polish, (trial, iters, kind)
+                    searched += gap <= 1e-9
+                elif not kind.startswith("polish-"):
                     continue
                 assert (z >= 0).all()
                 assert z.sum() == pytest.approx(1.0, abs=1e-12)
@@ -340,6 +377,7 @@ class TestSupportPolish:
                                np.allclose(b, z, atol=1e-9)
                                for a, b in eqs), (trial, z)
             assert exact > 0, trial
+        assert searched > 0
 
     def test_smallest_gap_wins_and_smaller_support_breaks_ties(self):
         # top-1 support: pure strategy 0, gap 1; top-2: (2/3, 1/3), gap 0
@@ -351,6 +389,7 @@ class TestSupportPolish:
         assert np.array_equal(z, [1.0, 0.0]) and gap == 0.0
 
     def test_column_shift_invariance(self):
+        moved = 0
         for trial in range(20):
             rng = rng_for(27, trial)
             n = int(rng.integers(2, 6))
@@ -361,6 +400,18 @@ class TestSupportPolish:
             z2, gap2 = support_polish(shifted, x)
             assert np.allclose(z, z2, rtol=0, atol=1e-9), trial
             assert gap2 == pytest.approx(gap, abs=1e-9), trial
+            # each support's solution and gap are invariant; only a tie
+            # between exact equilibria may be broken the other way by
+            # rounding, so there the end point need only be as good
+            zs, gaps = support_search(C, (z, gap))
+            zs2, gaps2 = support_search(shifted, (z2, gap2))
+            assert gaps2 == pytest.approx(gaps, abs=1e-9), trial
+            p = C @ zs2
+            assert p.max() - zs2 @ p == pytest.approx(gaps, abs=1e-9), trial
+            if gaps > 1e-9:
+                assert np.allclose(zs, zs2, rtol=0, atol=1e-9), trial
+            moved += gaps < gap
+        assert moved > 0
 
 
 class TestConvexityBounds:

@@ -201,7 +201,8 @@ class TestPipeline:
         chain = res["eps_chain"]
         assert chain["ws_on_unit"] < chain["ws_on_gkt"] < chain["target_eps"]
         assert res["diagnostics"]["candidate"] in (
-            "last", "all", "polish-last", "polish-all")
+            "last", "all", "polish-last", "polish-all", "search-last",
+            "search-all")
 
     def test_eps_constraint_enforced(self):
         with pytest.raises(ValueError):
@@ -218,3 +219,20 @@ class TestPipeline:
         res = solve_bimatrix_via_hedge(game, 0.05, max_iters=400000)
         assert res["success"]
         assert is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix")
+
+    @pytest.mark.parametrize("key, eps, iterations", [
+        ([9, 1], 0.002, 100), ([9, 23], 0.002, 180000),
+        ([8, 68], 0.01, 800), ([8, 72], 0.01, 400)],
+        ids=["9-1", "9-23", "8-68", "8-72"])
+    def test_games_no_prefix_polish_certifies(self, key, eps, iterations):
+        # the prefix polish of Hedge's weight order missed these games
+        # for the whole 2,000,000-iteration budget; the support search
+        # from it certifies them
+        rng = rng_for(*key)
+        shape = (3, 3) if key[0] == 9 else rng.integers(2, 5, size=2)
+        game = BimatrixGame(rng.random(shape), rng.random(shape))
+        res = solve_bimatrix_via_hedge(game, eps)
+        assert res["success"] and all(res["verdicts"].values())
+        assert res["iterations"] == iterations
+        assert res["diagnostics"]["candidate"].startswith("search-")
+        assert is_approx_equilibrium(game, res["pair"], eps, "bimatrix")
