@@ -117,48 +117,28 @@ def gen_random_game(kind, dims, seed):
     raise ValueError("unknown game kind %r" % (kind,))
 
 
-_RESTARTS = 10
-_SEGMENT = 2000
-_SCHEDULE = LearningRateSchedule("power", 1.0, 0.5)
-
-
-def _restart_orbits(n, seed):
-    """(start, schedule) of each restart: uniform, then seeded draws."""
-    return ((np.ones(n) / n if r == 0
-             else _trial_rng(seed, r).dirichlet(np.ones(n)), _SCHEDULE)
-            for r in range(_RESTARTS))
-
-
 def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     """Approximate symmetric equilibrium of (C, C^T) by Hedge.
 
-    Restarts from random interior points; each of the _RESTARTS
-    restarts gets max_iters // _RESTARTS iterations, and the remainder
-    max_iters % _RESTARTS is unused.  A budget below _RESTARTS raises
-    ValueError.  At each checkpoint of each restart (iterations 100,
-    200, 400, 800, 1600, then every 2,000), the candidates of
-    hedge_candidates (the last iterate, the orbit's mean, the support
-    polish of each and the support search from each polish) are checked
-    in turn against the equilibrium gap max(Cx) - x.Cx <= eps;
-    'candidate' names the kind that passed.  The search runs only at a
-    checkpoint where the other four kinds all fail.  An eps that is not
-    positive and finite raises ValueError.
+    Runs the restart plan of hedge_candidates (ten restarts, the first
+    from the uniform point and the rest from draws seeded by seed, each
+    with max_iters // 10 iterations; a budget below 10 raises
+    ValueError) and checks its candidates in turn against the
+    equilibrium gap max(Cx) - x.Cx <= eps; 'candidate' names the kind
+    that passed and 'restarts' the restarts begun.  The search runs only
+    at a checkpoint where the Hedge and polish kinds all fail.  An eps
+    that is not positive and finite raises ValueError.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    if max_iters < _RESTARTS:
-        raise ValueError("max_iters %d is below one iteration per restart "
-                         "(%d restarts)" % (max_iters, _RESTARTS))
     C = np.asarray(C, dtype=float)
-    used = 0
-    for orbit, used, kind, cand, gap in hedge_candidates(
-            C, _restart_orbits(C.shape[0], seed), max_iters // _RESTARTS,
-            _SEGMENT):
+    used = orbit = 0
+    for orbit, used, kind, cand, gap in hedge_candidates(C, max_iters, seed):
         if gap <= eps:
             return {"success": True, "strategy": cand, "iterations": used,
                     "restarts": orbit + 1, "gap": gap, "candidate": kind}
     return {"success": False, "strategy": None, "iterations": used,
-            "restarts": _RESTARTS, "gap": None, "candidate": None}
+            "restarts": orbit + 1, "gap": None, "candidate": None}
 
 
 def _trial_random_symmetric(config, t):

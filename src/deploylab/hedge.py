@@ -4,9 +4,9 @@ T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
-hedge_candidates, the candidate engine of both Hedge solvers:
-Hedge proposes candidates, support_polish solves each one's leading
-supports exactly, and support_search descends from there over
+hedge_candidates, the candidate engine and restart plan of both Hedge
+solvers: Hedge proposes candidates, support_polish solves each one's
+leading supports exactly, and support_search descends from there over
 neighbouring supports.
 """
 
@@ -16,9 +16,6 @@ import numpy as np
 
 from .games import (DEFAULT_TOL, _equalization_system, as_operator, carrier,
                     is_interior, payoff_vector, validate_mixed)
-
-_FIRST_CHECK = 100  # first checkpoint of each orbit in hedge_candidates
-
 
 class LearningRateSchedule:
     """Learning rates a_k; convergence needs a_k -> 0 and sum a_k = inf.
@@ -264,30 +261,49 @@ def support_search(C, start):
         support, best = step
 
 
-def hedge_candidates(C, orbits, per_orbit, segment):
-    """Candidate equilibria along Hedge orbits, checked on a doubling ramp.
+_RESTARTS = 10
+_FIRST_CHECK = 100
+_SEGMENT = 2000
+_SCHEDULE = LearningRateSchedule("power", 1.0, 0.5)
 
-    orbits yields (interior start, schedule) pairs; each orbit runs for
-    per_orbit iterations, or until a fixed-point stop.  The orbit pauses
-    at its checkpoints, the iteration counts 100, 200, 400, ... below
-    segment and then every multiple of segment, capped at per_orbit, so
-    an early orbit is checked often and a long one once per segment.  At
-    each checkpoint this yields (orbit, iterations, kind, strategy, gap)
-    for Hedge's own kinds 'last' (the current iterate) and 'all' (the
-    orbit's mean), then 'polish-last' and 'polish-all', the
-    support_polish of each (skipped when no support gives a solution),
-    then 'search-last' and 'search-all', the support_search from each
-    polish (skipped when the descent does not beat the polish gap).
-    iterations counts every iteration so far over all orbits; gap is
-    max(Cx) - x.Cx.  The generator is lazy: a consumer that stops at a
-    Hedge kind never pays for its polish, and one that stops at a polish
-    kind never pays for the search.
+
+def _restart_orbits(n, seed):
+    """(start, schedule) of each restart: uniform, then seeded draws."""
+    return ((np.ones(n) / n if r == 0
+             else np.random.default_rng([seed, r]).dirichlet(np.ones(n)),
+             _SCHEDULE)
+            for r in range(_RESTARTS))
+
+
+def hedge_candidates(C, max_iters, seed=0):
+    """Candidate equilibria along the Hedge orbits of the restart plan.
+
+    The plan is _RESTARTS orbits under _SCHEDULE, from the uniform point
+    and then from Dirichlet draws of default_rng([seed, r]), each run for
+    max_iters // _RESTARTS iterations or to a fixed-point stop; a budget
+    below one iteration per restart raises ValueError before any
+    iteration.  Each orbit pauses at 100, 200, 400, ... iterations below
+    _SEGMENT and then at every multiple of _SEGMENT.  At each checkpoint
+    this yields (orbit, iterations, kind, strategy, gap) for 'last' (the
+    current iterate) and 'all' (the orbit's mean), then 'polish-last'
+    and 'polish-all', the support_polish of each, then 'search-last' and
+    'search-all', the support_search from each polish when it beats the
+    polish gap.  A polish or search is skipped when it finds no solution
+    or a support the checkpoint already yielded.  iterations counts
+    every iteration so far over all orbits; gap is max(Cx) - x.Cx.  The
+    generator is lazy: a consumer that stops at a Hedge kind never pays
+    for its polish, and one that stops at a polish kind never pays for
+    the search.
     """
+    per_orbit = max_iters // _RESTARTS
+    if per_orbit < 1:
+        raise ValueError("max_iters %d is below one iteration per restart "
+                         "(%d restarts)" % (max_iters, _RESTARTS))
     used = 0
-    for orbit, (x, schedule) in enumerate(orbits):
+    for orbit, (x, schedule) in enumerate(_restart_orbits(C.shape[0], seed)):
         running = np.zeros(len(x))
         done = 0
-        check = min(_FIRST_CHECK, segment)
+        check = min(_FIRST_CHECK, _SEGMENT)
         while done < per_orbit:
             chunk = min(check, per_orbit) - done
             trace = run_hedge(C, x, schedule, max_iters=chunk,
@@ -299,20 +315,30 @@ def hedge_candidates(C, orbits, per_orbit, segment):
             candidates = (("last", x), ("all", running / done))
             for kind, cand in candidates:
                 yield orbit, used, kind, cand, _gap(C, cand)
+            yielded = set()
             polished = []
             for kind, cand in candidates:
                 found = support_polish(C, cand)
-                if found is not None:
+                if found is not None and _fresh(found, yielded):
                     polished.append((kind, found))
                     yield (orbit, used, "polish-" + kind) + found
             for kind, found in polished:
                 searched = support_search(C, found)
-                if searched[1] < found[1]:
+                if searched[1] < found[1] and _fresh(searched, yielded):
                     yield (orbit, used, "search-" + kind) + searched
             if trace.stop_reason == "fixed-point":
                 break
-            check = (2 * check if 2 * check < segment
-                     else (check // segment + 1) * segment)
+            check = (2 * check if 2 * check < _SEGMENT
+                     else (check // _SEGMENT + 1) * _SEGMENT)
+
+
+def _fresh(found, yielded):
+    """Whether the support of found = (z, gap) is not in yielded; adds it."""
+    support = tuple(np.flatnonzero(found[0]).tolist())
+    if support in yielded:
+        return False
+    yielded.add(support)
+    return True
 
 
 def average_iterates(trace):

@@ -172,21 +172,32 @@ def _eliminate_rounds(game, restriction, strict):
     return eliminations, rnd
 
 
-def _all_weak_orders(game, restriction, terminals, visited):
-    """Add the terminal of every single-elimination order from the
-    restriction; a restriction already visited adds nothing new."""
-    key = tuple(map(tuple, restriction))
-    if key in visited:
-        return
-    visited.add(key)
-    options = _dominated(game, restriction, False)
-    if not options:
-        terminals.add(tuple(frozenset(r) for r in restriction))
-        return
-    for i, a, _ in options:
-        nxt = [list(r) for r in restriction]
-        nxt[i].remove(a)
-        _all_weak_orders(game, nxt, terminals, visited)
+_MAX_RESTRICTIONS = 4096  # election visits ~560 at n = 4, ~2,200 at n = 5
+
+
+def _all_weak_orders(game):
+    """The terminal of every single-elimination weak-dominance order, by a
+    search that visits each restriction once, or ValueError past
+    _MAX_RESTRICTIONS restrictions."""
+    terminals, visited = set(), set()
+    stack = [[list(range(c)) for c in game.strategy_counts]]
+    while stack:
+        restriction = stack.pop()
+        key = tuple(map(tuple, restriction))
+        if key in visited:
+            continue
+        if len(visited) == _MAX_RESTRICTIONS:
+            raise ValueError("all-orders exploration visits more than %d "
+                             "restrictions" % _MAX_RESTRICTIONS)
+        visited.add(key)
+        options = _dominated(game, restriction, False)
+        if not options:
+            terminals.add(tuple(frozenset(r) for r in restriction))
+        for i, a, _ in options:
+            nxt = [list(r) for r in restriction]
+            nxt[i].remove(a)
+            stack.append(nxt)
+    return terminals
 
 
 def iterated_dominance(game, kind="strict", order="deterministic"):
@@ -198,10 +209,10 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
     first.  For strict dominance the fixed point is order-independent.
     For weak dominance the round-synchronous schedule is the documented
     deterministic procedure; order='all-orders' instead explores every
-    sequential single-elimination order (small games only), whose
-    terminal restrictions can differ from the round-synchronous result.
-    Any other order, or 'all-orders' with strict dominance, raises
-    ValueError.
+    sequential single-elimination order (up to _MAX_RESTRICTIONS
+    restrictions), whose terminals can differ from the round-synchronous
+    result.  A longer search, any other order, or 'all-orders' with
+    strict dominance raises ValueError.
     """
     if kind not in ("strict", "weak"):
         raise ValueError("kind must be strict or weak")
@@ -209,15 +220,11 @@ def iterated_dominance(game, kind="strict", order="deterministic"):
         raise ValueError("order must be deterministic or all-orders")
     if order == "all-orders" and kind == "strict":
         raise ValueError("all-orders exploration is for weak dominance only")
-    restriction = [list(range(c)) for c in game.strategy_counts]
     record = {"kind": kind, "order": order}
     if order == "all-orders":
-        if sum(game.strategy_counts) > 12:
-            raise ValueError("all-orders exploration is for small games only")
-        terminals = set()
-        _all_weak_orders(game, restriction, terminals, set())
-        record.update(terminal_survivor_sets=terminals)
+        record.update(terminal_survivor_sets=_all_weak_orders(game))
         return record
+    restriction = [list(range(c)) for c in game.strategy_counts]
     elim, rounds = _eliminate_rounds(game, restriction, kind == "strict")
     record.update(eliminations=elim, rounds=rounds, survivors=restriction)
     return record

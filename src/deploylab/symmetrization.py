@@ -12,7 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import BimatrixGame, is_approx_equilibrium
-from .hedge import LearningRateSchedule, hedge_candidates
+from .hedge import hedge_candidates
+
+# C spans exactly [-1, 1] (literal +-1 entries, normalized A and B), so
+# C0 = (C + 2) * _RESCALE lies in [1/3, 1]
+_RESCALE = 1.0 / 3.0
 
 
 @dataclass
@@ -38,13 +42,12 @@ class EpsilonBudget:
     """Epsilon levels of the reduction chain for a target accuracy.
 
     target_eps applies to the original game; the well-supported levels
-    are scale*eps on the GKT game C and rescale*scale*eps on its [0,1]
+    are scale*eps on the GKT game C and _RESCALE*scale*eps on its [0,1]
     rescaling C0, and the conversion precondition on C0 is the square
-    level (rescale*scale*eps)^2 / 8.
+    level (_RESCALE*scale*eps)^2 / 8.
     """
     target_eps: float
     scale: float      # c' (normalization)
-    rescale: float    # c  (affine map of C into [0,1])
 
     def __post_init__(self):
         if not 0 < self.target_eps < np.inf:
@@ -56,7 +59,7 @@ class EpsilonBudget:
 
     @property
     def ws_on_unit(self):
-        return self.rescale * self.scale * self.target_eps
+        return _RESCALE * self.scale * self.target_eps
 
     @property
     def approx_on_unit(self):
@@ -194,17 +197,6 @@ def approx_to_well_supported(game, p, q, eps, check_precondition=True):
     return p, q, achieved
 
 
-DEFAULT_RESTARTS = (
-    LearningRateSchedule("power", 1.0, 0.5),
-    LearningRateSchedule("constant", 0.005),
-    LearningRateSchedule("power", 0.3, 0.5),
-    LearningRateSchedule("constant", 0.0015),
-    LearningRateSchedule("power", 3.0, 0.5),
-)
-
-_SEGMENT = 20000
-
-
 def _verify_chain(orig, gkt_game, unit_game, gkt_bimatrix, pair_unit,
                   budget, eps):
     """Re-verify every epsilon level; returns (report, recovered pair)."""
@@ -228,31 +220,24 @@ def _verify_chain(orig, gkt_game, unit_game, gkt_bimatrix, pair_unit,
 def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     """Approximate equilibrium of a bimatrix game via GKT + Hedge.
 
-    Runs Hedge on the [0,1]-rescaled GKT game from the uniform start,
-    restarting with the next schedule when a budget slice is exhausted.
-    Each of the len(DEFAULT_RESTARTS) schedules gets a slice of
-    max_iters // len(DEFAULT_RESTARTS) iterations, and the remainder is
-    unused; a budget below one iteration per schedule raises ValueError.
-    Candidate strategies come from hedge_candidates at each checkpoint
-    (iterations 100, 200, ..., 12,800, then every 20,000): the last
+    Runs the restart plan of hedge_candidates with seed 0 on the
+    [0,1]-rescaled GKT game: ten restarts, the first from the uniform
+    point, each with max_iters // 10 iterations; a budget below 10
+    raises ValueError.  Its candidates are, at each checkpoint, the last
     iterate, the orbit's mean, the support polish of each and, when
     those four fail, the support search from each polish.  Each
     candidate is purged to a well-supported point and the whole epsilon
     chain plus the final bimatrix predicate are re-verified before a
     pair is returned; diagnostics['candidate'] names the kind that
-    passed.  On failure the diagnostics report the best gap achieved;
-    no pair is fabricated.  Every result, a 1x1 game's included, carries
-    the GKT game ('gkt') and the NormalizationRecord ('normalization')
-    it was built from.
+    passed and diagnostics['restarts'] the restarts begun.  On failure
+    the diagnostics report the best gap achieved; no pair is
+    fabricated.  Every result, a 1x1 game's included, carries the GKT
+    game ('gkt') and the NormalizationRecord ('normalization') it was
+    built from; a 1x1 game runs no Hedge, so it needs no budget.
     """
-    if max_iters < len(DEFAULT_RESTARTS):
-        raise ValueError("max_iters %d is below one iteration per schedule "
-                         "(%d schedules)" % (max_iters, len(DEFAULT_RESTARTS)))
     norm_game, record = normalize_bimatrix(game)
     gkt_game = gkt_symmetrize(norm_game)
-    # C spans exactly [-1, 1] (literal +-1 entries, normalized A and B)
-    rescale = 1.0 / 3.0
-    budget = EpsilonBudget(eps, record.scale, rescale)
+    budget = EpsilonBudget(eps, record.scale)
     built = {"gkt": gkt_game, "normalization": record}
     if game.shape == (1, 1):
         pair = (np.array([1.0]), np.array([1.0]))
@@ -260,17 +245,15 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
                 "diagnostics": {"trivial": True}, **built}
     budget.check_constraint(record)
     eps_ws = budget.ws_on_unit
-    C0 = (gkt_game.C + 2.0) * rescale
-    n = C0.shape[0]
+    C0 = (gkt_game.C + 2.0) * _RESCALE
     unit_game = BimatrixGame(C0, C0.T)
     gkt_bimatrix = BimatrixGame(gkt_game.C, gkt_game.C.T)
 
-    orbits = ((np.ones(n) / n, sched) for sched in DEFAULT_RESTARTS)
     total_iters = 0
     best_gap = np.inf
     last = None
     for orbit, total_iters, kind, cand, gap in hedge_candidates(
-            C0, orbits, max_iters // len(DEFAULT_RESTARTS), _SEGMENT):
+            C0, max_iters, seed=0):
         if kind == "last":
             last = cand
         best_gap = min(best_gap, gap)
@@ -295,7 +278,7 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
                     },
                     "verdicts": report,
                     "diagnostics": {
-                        "schedule": repr(DEFAULT_RESTARTS[orbit]),
+                        "restarts": orbit + 1,
                         "candidate": kind,
                         "best_gap_on_unit": best_gap,
                     },

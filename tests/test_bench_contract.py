@@ -67,8 +67,7 @@ def test_recorder_reads_the_real_package(tmp_path):
     def run():
         res = experiments.hedge_symmetric_solve(C, 1e-3, max_iters=10**4,
                                                 seed=12)
-        for _ in hedge_candidates(C, experiments._restart_orbits(10, 12),
-                                  300, experiments._SEGMENT):
+        for _ in hedge_candidates(C, 3000, 12):
             pass
         return res, cli.main(["solve", str(path), "--method", "hedge",
                               "--out", str(out)])

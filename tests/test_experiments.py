@@ -6,12 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from deploylab.experiments import (_RESTARTS, _SEGMENT, ExperimentConfig,
-                                   _restart_orbits, emit_report,
+from deploylab.experiments import (ExperimentConfig, emit_report,
                                    gen_random_game, hedge_symmetric_solve,
                                    run_experiment)
 from deploylab.games import BimatrixGame, is_approx_equilibrium
-from deploylab.hedge import hedge_candidates
+from deploylab.hedge import _RESTARTS, hedge_candidates
 from deploylab.symmetrization import solve_bimatrix_via_hedge
 
 
@@ -47,8 +46,7 @@ class TestHedgeSymmetricSolve:
         # the gap, and the fourth solves it
         C = np.random.default_rng([105, 4]).random((10, 10))
         first = next((orbit, used) for orbit, used, kind, _, gap
-                     in hedge_candidates(C, _restart_orbits(10, 4),
-                                         10**6 // _RESTARTS, _SEGMENT)
+                     in hedge_candidates(C, 10**6, 4)
                      if kind in ("last", "all") and gap <= 1e-3)
         assert first == (3, 304000)
 
@@ -141,7 +139,8 @@ class TestRunExperiment:
         for r in report.records:
             rng = np.random.default_rng(r["seed"])
             game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
-            p, q = solve_bimatrix_via_hedge(game, 0.05)["pair"]
+            p, q = solve_bimatrix_via_hedge(
+                game, 0.05, max_iters=config.max_iters)["pair"]
             row = [sum(game.A[i, j] * q[j] for j in range(3))
                    for i in range(3)]
             col = [sum(game.B[i, j] * p[i] for i in range(3))

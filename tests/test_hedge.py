@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deploylab import hedge
-from deploylab.experiments import _RESTARTS, _SEGMENT, _restart_orbits
 from deploylab.games import (BimatrixGame, PayoffOperator,
                              support_enumeration_equilibria)
-from deploylab.hedge import (LearningRateSchedule, average_iterates,
+from deploylab.hedge import (_RESTARTS, LearningRateSchedule,
+                             _restart_orbits, average_iterates,
                              check_convexity_bounds, hedge_candidates,
                              hedge_step, is_fixed_point, relative_entropy,
                              rescale_to_unit, run_hedge, support_polish,
@@ -221,21 +221,67 @@ class TestRunHedge:
         assert np.allclose(second.final, whole.final, atol=1e-12)
 
 
+def _plan(monkeypatch, orbits, segment):
+    """Swap the restart plan's orbits and segment; hedge_candidates then
+    takes per_orbit * _RESTARTS as the budget for per_orbit iterations
+    per orbit."""
+    monkeypatch.setattr(hedge, "_restart_orbits", lambda n, seed: orbits)
+    monkeypatch.setattr(hedge, "_SEGMENT", segment)
+
+
+POWER_HALF = LearningRateSchedule("power", 1.0, 0.5)
+
+
 class TestHedgeCandidates:
-    def test_kind_order(self):
-        # a game whose prefix polish misses at every checkpoint, so the
-        # search beats it and all six kinds are yielded
-        C = rng_for(24, 0).random((4, 4))
-        orbits = [(np.ones(4) / 4, LearningRateSchedule("power", 1.0, 0.5))]
-        out = list(hedge_candidates(C, orbits, 40, 10))
+    def test_kind_order(self, monkeypatch):
+        # at 10 and 20 iterations both polishes land on support {2}, so
+        # polish-all and search-all are skipped; at 30 and 40 the two
+        # polishes and the two searches land on four distinct supports
+        # and all six kinds are yielded
+        kinds_in_order = ["last", "all", "polish-last", "polish-all",
+                          "search-last", "search-all"]
+        C = rng_for(24, 240).random((5, 5))
+        _plan(monkeypatch, [(np.ones(5) / 5, POWER_HALF)], 10)
+        out = list(hedge_candidates(C, 40 * _RESTARTS))
         by_segment = {}
         for orbit, iters, kind, _, _ in out:
             assert orbit == 0
             by_segment.setdefault(iters, []).append(kind)
         assert sorted(by_segment) == [10, 20, 30, 40]
-        for kinds in by_segment.values():
-            assert kinds == ["last", "all", "polish-last", "polish-all",
-                             "search-last", "search-all"]
+        assert by_segment[10] == by_segment[20] == \
+            ["last", "all", "polish-last", "search-last"]
+        assert by_segment[30] == by_segment[40] == kinds_in_order
+
+    def test_each_support_once_per_checkpoint(self, monkeypatch):
+        # at many checkpoints of these games the two polishes land on one
+        # support; the checkpoint yields it once and descends from it
+        # once, and yields no search end point that it already yielded
+        polishes, descents = [], []
+
+        def polish(C, x):
+            found = support_polish(C, x)
+            polishes.append(found is not None)
+            return found
+
+        def search(C, start):
+            descents.append(start)
+            return support_search(C, start)
+
+        monkeypatch.setattr(hedge, "support_polish", polish)
+        monkeypatch.setattr(hedge, "support_search", search)
+        yielded = 0
+        for key, n in (([105, 4], 10), ([205, 91], 6)):
+            C = np.random.default_rng(key).random((n, n))
+            supports = {}
+            for orbit, iters, kind, z, _ in hedge_candidates(C, 2 * 10**4):
+                if kind in ("last", "all"):
+                    continue
+                seen = supports.setdefault((orbit, iters), set())
+                support = tuple(np.flatnonzero(z).tolist())
+                assert support not in seen, (key, orbit, iters, kind)
+                seen.add(support)
+                yielded += kind.startswith("polish-")
+        assert yielded == len(descents) < sum(polishes)
 
     def test_search_is_lazy(self, monkeypatch):
         # criterion-5 game 4 is certified by polish-last at iteration
@@ -248,8 +294,7 @@ class TestHedgeCandidates:
 
         monkeypatch.setattr(hedge, "support_search", counting_search)
         C = np.random.default_rng([105, 4]).random((10, 10))
-        gen = hedge_candidates(C, _restart_orbits(10, 4),
-                               10**6 // _RESTARTS, _SEGMENT)
+        gen = hedge_candidates(C, 10**6, 4)
         for _, iters, kind, _, gap in gen:
             if gap <= 1e-3:
                 break
@@ -261,14 +306,13 @@ class TestHedgeCandidates:
                 break
         assert len(calls) == 2
 
-    def test_hedge_kinds_match_plain_means(self):
+    def test_hedge_kinds_match_plain_means(self, monkeypatch):
         C = rng_for(25).random((4, 4))
         x0 = np.ones(4) / 4
-        sched = LearningRateSchedule("power", 1.0, 0.5)
-        full = run_hedge(C, x0, sched, max_iters=50, record_every=1)
+        full = run_hedge(C, x0, POWER_HALF, max_iters=50, record_every=1)
         xs = np.array(full.iterates)  # iterates 0..50
-        for _, done, kind, cand, gap in hedge_candidates(
-                C, [(x0, sched)], 50, 7):
+        _plan(monkeypatch, [(x0, POWER_HALF)], 7)
+        for _, done, kind, cand, gap in hedge_candidates(C, 50 * _RESTARTS):
             if kind == "last":
                 expect = xs[done]
             elif kind == "all":
@@ -280,22 +324,23 @@ class TestHedgeCandidates:
             assert gap == pytest.approx(p.max() - expect @ p, abs=1e-12)
 
     @staticmethod
-    def _checkpoints(per_orbit, segment):
+    def _checkpoints(monkeypatch, per_orbit, segment):
         # at rate 1e-4 the orbit stays far from any fixed-point stop
         C = rng_for(29).random((3, 3))
-        orbits = [(np.ones(3) / 3, LearningRateSchedule("constant", 1e-4))]
+        _plan(monkeypatch, [(np.ones(3) / 3,
+                             LearningRateSchedule("constant", 1e-4))], segment)
         return sorted({iters for _, iters, _, _, _
-                       in hedge_candidates(C, orbits, per_orbit, segment)})
+                       in hedge_candidates(C, per_orbit * _RESTARTS)})
 
-    def test_doubling_ramp_then_segments(self):
-        assert self._checkpoints(9000, 2000) == \
+    def test_doubling_ramp_then_segments(self, monkeypatch):
+        assert self._checkpoints(monkeypatch, 9000, hedge._SEGMENT) == \
             [100, 200, 400, 800, 1600, 2000, 4000, 6000, 8000, 9000]
 
     @pytest.mark.parametrize("per_orbit, segment", [
         (40, 10), (50, 7), (1000, 100), (250, 100), (300, 150),
         (9000, 2000), (50000, 20000), (1600, 1600)])
-    def test_old_grid_is_kept(self, per_orbit, segment):
-        got = self._checkpoints(per_orbit, segment)
+    def test_old_grid_is_kept(self, monkeypatch, per_orbit, segment):
+        got = self._checkpoints(monkeypatch, per_orbit, segment)
         old = sorted(set(list(range(segment, per_orbit, segment)) +
                          [per_orbit]))
         assert set(old) <= set(got)
@@ -306,14 +351,17 @@ class TestHedgeCandidates:
             assert got == old
 
     def test_ramp_kinds_match_plain_means(self):
+        # the plan's first orbit: uniform start, power(1, 1/2), segment
+        # 2,000; its first 3,000 iterations are the budget's first tenth
         C = rng_for(30).random((4, 4))
         x0 = np.ones(4) / 4
-        sched = LearningRateSchedule("power", 1.0, 0.5)
-        full = run_hedge(C, x0, sched, max_iters=3000, record_every=1)
+        full = run_hedge(C, x0, POWER_HALF, max_iters=3000, record_every=1)
         xs = np.array(full.iterates)  # iterates 0..3000
         seen = set()
-        for _, done, kind, cand, _ in hedge_candidates(
-                C, [(x0, sched)], 3000, 2000):
+        for orbit, done, kind, cand, _ in hedge_candidates(
+                C, 3000 * _RESTARTS):
+            if orbit > 0:
+                break
             if kind == "last":
                 expect = xs[done]
             elif kind == "all":
@@ -324,15 +372,16 @@ class TestHedgeCandidates:
             assert np.allclose(cand, expect, rtol=0, atol=1e-12), (done, kind)
         assert sorted(seen) == [100, 200, 400, 800, 1600, 2000, 3000]
 
-    def test_fixed_point_ends_orbit_only(self):
+    def test_fixed_point_ends_orbit_only(self, monkeypatch):
         # a dominant row: at rate 1 the losing weight underflows to 0 and
         # the orbit stops on the pure fixed point at iteration 746; at
         # rate 1e-6 each step still moves x by about 2.5e-7
         C = np.array([[1.0, 1.0], [0.0, 0.0]])
         x0 = np.array([0.5, 0.5])
-        orbits = [(x0, LearningRateSchedule("constant", 1.0)),
-                  (x0, LearningRateSchedule("constant", 1e-6))]
-        out = list(hedge_candidates(C, orbits, 1000, 100))
+        _plan(monkeypatch, [(x0, LearningRateSchedule("constant", 1.0)),
+                            (x0, LearningRateSchedule("constant", 1e-6))],
+              100)
+        out = list(hedge_candidates(C, 1000 * _RESTARTS))
         first = [o for o in out if o[0] == 0]
         second = [o for o in out if o[0] == 1]
         stopped_at = first[-1][1]
@@ -346,8 +395,7 @@ class TestHedgeCandidates:
 
 
 class TestSupportPolish:
-    def test_polish_is_an_enumerated_equilibrium(self):
-        sched = LearningRateSchedule("power", 1.0, 0.5)
+    def test_polish_is_an_enumerated_equilibrium(self, monkeypatch):
         searched = 0
         for trial in range(40):
             rng = rng_for(26, trial)
@@ -356,8 +404,9 @@ class TestSupportPolish:
             eqs = support_enumeration_equilibria(BimatrixGame.symmetric(C))
             exact = 0
             gaps = {}
+            _plan(monkeypatch, [(np.ones(n) / n, POWER_HALF)], 100)
             for _, iters, kind, z, gap in hedge_candidates(
-                    C, [(np.ones(n) / n, sched)], 1000, 100):
+                    C, 1000 * _RESTARTS):
                 gaps[iters, kind] = gap
                 if kind.startswith("search-"):
                     # yielded only when the descent beat its polish

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from deploylab import mechanisms
 from deploylab.experiments import gen_random_game
 from deploylab.games import StrategicGame
 from deploylab.graphs import analyze, classify_acyclicity, pure_nash
@@ -190,6 +191,15 @@ class TestElection:
             for term in rec["terminal_survivor_sets"]:
                 assert all(D not in side for side in term), trial
 
+    def test_all_orders_drop_defection_at_n4(self):
+        # the same games at n = 4, about 560 restrictions each
+        for trial in range(1, 20, 2):
+            spec = gen_random_game("stag-hunt", 4, 10950 + trial)
+            rec = iterated_dominance(apply_election(spec), "weak",
+                                     "all-orders")
+            for term in rec["terminal_survivor_sets"]:
+                assert all(D not in side for side in term), trial
+
     def test_defection_remains_weak_nash(self):
         nash = pure_nash(apply_election(SPEC2))
         assert nash[(D, D)] == "weak"
@@ -272,11 +282,24 @@ class TestIteratedDominance:
             assert rec["terminal_survivor_sets"] == \
                 weak_order_terminals(game, full)
 
-    def test_all_orders_size_guard(self):
-        game = StrategicGame((4, 4, 4, 4),
-                             np.zeros((4, 4, 4, 4, 4)))
-        with pytest.raises(ValueError):
-            iterated_dominance(game, "weak", "all-orders")
+    def test_all_orders_size_guard(self, monkeypatch):
+        # each player's payoff is its own strategy index, so every order
+        # of removing strategies 0..11 is open: 2^12 x 2^12 restrictions
+        counts = (13, 13)
+        table = np.stack(np.meshgrid(*map(np.arange, counts),
+                                     indexing="ij"), -1).astype(float)
+        scans = []
+
+        def counting(game, restriction, strict):
+            scans.append(1)
+            return _dominated(game, restriction, strict)
+
+        monkeypatch.setattr(mechanisms, "_dominated", counting)
+        with pytest.raises(ValueError, match="more than %d restrictions"
+                           % mechanisms._MAX_RESTRICTIONS):
+            iterated_dominance(StrategicGame(counts, table), "weak",
+                               "all-orders")
+        assert len(scans) == mechanisms._MAX_RESTRICTIONS
 
     def test_unknown_kind(self):
         game = StrategicGame((2, 2), np.zeros((2, 2, 2)))

@@ -5,7 +5,8 @@ import pytest
 
 from deploylab.games import (BimatrixGame, is_approx_equilibrium,
                              support_enumeration_equilibria)
-from deploylab.symmetrization import (DEFAULT_RESTARTS, EpsilonBudget,
+from deploylab.hedge import _RESTARTS
+from deploylab.symmetrization import (EpsilonBudget,
                                       approx_to_well_supported,
                                       gkt_symmetrize, normalize_bimatrix,
                                       recover_equilibria,
@@ -107,7 +108,7 @@ class TestRecoverEquilibria:
 
 class TestEpsilonBudget:
     def test_levels(self):
-        budget = EpsilonBudget(0.05, 0.5, 1.0 / 3.0)
+        budget = EpsilonBudget(0.05, 0.5)
         assert budget.ws_on_gkt == pytest.approx(0.025)
         assert budget.ws_on_unit == pytest.approx(0.05 / 6.0)
         assert budget.approx_on_unit == pytest.approx((0.05 / 6.0) ** 2 / 8)
@@ -116,15 +117,15 @@ class TestEpsilonBudget:
         rng = rng_for(64)
         game = BimatrixGame(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
         _, rec = normalize_bimatrix(game)
-        EpsilonBudget(0.01, rec.scale, 1.0).check_constraint(rec)
+        EpsilonBudget(0.01, rec.scale).check_constraint(rec)
         with pytest.raises(ValueError):
-            EpsilonBudget(0.5, rec.scale, 1.0).check_constraint(rec)
+            EpsilonBudget(0.5, rec.scale).check_constraint(rec)
 
     def test_positive_eps_required(self):
         # NaN fails every comparison, so it must fail the range check too
         for eps in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive and finite"):
-                EpsilonBudget(eps, 1.0, 1.0)
+                EpsilonBudget(eps, 1.0)
 
 
 class TestWellSupportedConversion:
@@ -208,10 +209,23 @@ class TestPipeline:
         with pytest.raises(ValueError):
             solve_bimatrix_via_hedge(STAG_HUNT, 0.5)
 
-    def test_budget_below_schedules_rejected(self):
+    def test_budget_below_restarts_rejected(self):
         with pytest.raises(ValueError, match="below one iteration"):
             solve_bimatrix_via_hedge(STAG_HUNT, 0.05,
-                                     max_iters=len(DEFAULT_RESTARTS) - 1)
+                                     max_iters=_RESTARTS - 1)
+
+    def test_second_restart_of_the_shared_plan(self):
+        # gkt-roundtrip trial [0, 1]: the first restart runs its 100,000
+        # iterations without a certificate, and the second restart, a
+        # seeded draw as in hedge_symmetric_solve, is certified at its
+        # first checkpoint
+        rng = rng_for(0, 1)
+        game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
+        res = solve_bimatrix_via_hedge(game, 0.05, max_iters=10**6)
+        assert res["success"] and all(res["verdicts"].values())
+        assert res["iterations"] == 100100
+        assert res["diagnostics"]["restarts"] == 2
+        assert is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix")
 
     def test_random_3x3_roundtrip(self):
         rng = rng_for(68)
@@ -221,7 +235,7 @@ class TestPipeline:
         assert is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix")
 
     @pytest.mark.parametrize("key, eps, iterations", [
-        ([9, 1], 0.002, 100), ([9, 23], 0.002, 180000),
+        ([9, 1], 0.002, 100), ([9, 23], 0.002, 162000),
         ([8, 68], 0.01, 800), ([8, 72], 0.01, 400)],
         ids=["9-1", "9-23", "8-68", "8-72"])
     def test_games_no_prefix_polish_certifies(self, key, eps, iterations):
