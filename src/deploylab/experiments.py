@@ -160,9 +160,9 @@ def _trial_rps_repulsion(config, t):
     x0 = rng.dirichlet(np.ones(3))
     ok = True
     for alpha in (0.1, 0.5, 1.0):
-        trace = run_hedge(C0, x0, LearningRateSchedule("constant", alpha),
+        trace = run_hedge(C0, x0, LearningRateSchedule(alpha, 0.0),
                           max_iters=2000, reference=uniform)
-        re_seq = [r for r in trace.re_to_reference if r is not None]
+        re_seq = trace.re_to_reference
         if any(b <= a for a, b in zip(re_seq, re_seq[1:])):
             ok = False
     return {"trial": t, "seed": [config.seed, t], "outcome": ok,

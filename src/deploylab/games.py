@@ -131,15 +131,14 @@ class BimatrixGame:
             np.allclose(self.B, self.A.T, atol=0.0, rtol=0)
 
 
-def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix",
-                          support_tol=0.0):
+def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix"):
     """Approximate-equilibrium predicates.
 
     mode='symmetric': game is an operator/matrix C, profile a single
       strategy y; requires (y - E_i) . Cy >= -eps for every i.
     mode='bimatrix': game is a BimatrixGame, profile a pair (p, q);
       requires both players' deviation gains to be at most eps.
-    mode='well-supported': every pure strategy with weight > support_tol
+    mode='well-supported': every pure strategy with weight > 0
       earns within eps of the best pure payoff against the opponent.
     """
     if eps < 0:
@@ -162,8 +161,8 @@ def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix",
         return (float(p @ row_pay) >= row_pay.max() - eps and
                 float(q @ col_pay) >= col_pay.max() - eps)
     if mode == "well-supported":
-        rows_ok = np.all((p <= support_tol) | (row_pay >= row_pay.max() - eps))
-        cols_ok = np.all((q <= support_tol) | (col_pay >= col_pay.max() - eps))
+        rows_ok = np.all((p <= 0) | (row_pay >= row_pay.max() - eps))
+        cols_ok = np.all((q <= 0) | (col_pay >= col_pay.max() - eps))
         return bool(rows_ok and cols_ok)
     raise ValueError("unknown mode %r" % (mode,))
 

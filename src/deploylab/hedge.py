@@ -11,6 +11,7 @@ neighbouring supports.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,37 +19,31 @@ from .games import (DEFAULT_TOL, _equalization_system, as_operator, carrier,
                     is_interior, payoff_vector, validate_mixed)
 
 class LearningRateSchedule:
-    """Learning rates a_k; convergence needs a_k -> 0 and sum a_k = inf.
+    """Learning rates a_k = c/(k+1)**exponent, exponent in [0, 1].
 
-    That condition is for the iterates reaching a GESS.  At an interior
-    equilibrium that is not one (rock-paper-scissors) the iterates
-    cycle outwards, and their uniform average approaches it only when
-    also a_k * k -> inf: 'power' with exponent < 1, not 'harmonic'
-    (see average_iterates).
-
-    forms: 'constant' (a_k = c), 'harmonic' (a_k = c/(k+1)),
-    'power' (a_k = c/(k+1)**exponent, exponent in (0, 1]).
+    Exponent 0 is the constant rate c (c/(k+1)**0.0 == c exactly) and
+    exponent 1 the harmonic c/(k+1).  Convergence needs a_k -> 0 and
+    sum a_k = inf, so an exponent in (0, 1].  That condition is for the
+    iterates reaching a GESS.  At an interior equilibrium that is not
+    one (rock-paper-scissors) the iterates cycle outwards, and their
+    uniform average approaches it only when also a_k * k -> inf: an
+    exponent below 1, not the harmonic 1 (see average_iterates).
     """
 
-    def __init__(self, form, c, exponent=1.0):
-        if form not in ("constant", "harmonic", "power"):
-            raise ValueError("unknown schedule form %r" % (form,))
+    def __init__(self, c, exponent):
         if not 0 < c < np.inf:
             raise ValueError("schedule constant must be positive and finite")
-        if form == "power" and not (0.0 < exponent <= 1.0):
-            raise ValueError("power exponent must lie in (0, 1]")
-        self.form = form
+        if not 0.0 <= exponent <= 1.0:
+            raise ValueError("schedule exponent must lie in [0, 1]")
         self.c = float(c)
-        self.exponent = float(exponent) if form == "power" else 1.0
+        self.exponent = float(exponent)
 
     def rate(self, k):
-        if self.form == "constant":
-            return self.c
         return self.c / (k + 1) ** self.exponent
 
     def __repr__(self):
-        return "LearningRateSchedule(%r, c=%g, exponent=%g)" % (
-            self.form, self.c, self.exponent)
+        return "LearningRateSchedule(c=%g, exponent=%g)" % (
+            self.c, self.exponent)
 
 
 def hedge_step(op, x, alpha):
@@ -91,55 +86,30 @@ def is_fixed_point(op, x, tol=DEFAULT_TOL):
     return bool(p.max() - p.min() <= tol)
 
 
+@dataclass
 class HedgeTrace:
-    """Record of a Hedge run.
+    """What a Hedge run leaves: the orbit's end, sum and stop reason.
 
-    iterates holds every record_every-th iterate plus the final one, with
-    its iteration in iterate_iters and RE(reference, x) in
-    re_to_reference.  iterate_sum/count cover every iterate the map was
-    applied at (or the run stopped at), whatever the decimation;
-    final_in_sum says whether the final iterate is among them, so the
-    average is exactly the orbit's mean.  stop_reason is 'max-iters',
-    'converged', or 'fixed-point': the computed map returned the final
-    iterate unchanged, T(x) == x.
+    final is the iterate the run stopped at.  iterate_sum and count
+    cover every iterate the map was applied at, plus the final one when
+    the run stopped early; at a 'max-iters' stop the final iterate is
+    not in the sum.  stop_reason is 'max-iters', 'converged', or
+    'fixed-point': the computed map returned the final iterate
+    unchanged, T(x) == x.  re_to_reference holds RE(reference, x) for
+    each iterate visited: one per iterate in the sum, plus the final
+    one at a 'max-iters' stop; it is empty without a reference.
     """
 
-    def __init__(self, record_every=1):
-        self.record_every = record_every
-        self.iterates = []
-        self.iterate_iters = []
-        self.re_to_reference = []
-        self.stop_reason = None
-        self.iterate_sum = None
-        self.count = 0
-        self.final_in_sum = False
-
-    def _append(self, k, x, re_ref):
-        self.iterates.append(x)
-        self.iterate_iters.append(k)
-        self.re_to_reference.append(re_ref)
-
-    def _record(self, k, x, re_ref):
-        if self.iterate_sum is None:
-            self.iterate_sum = np.zeros_like(x)
-        self.iterate_sum += x
-        self.count += 1
-        if k % self.record_every == 0:
-            self._append(k, x, re_ref)
-
-    def _record_final(self, k, x, re_ref, in_sum):
-        self.final_in_sum = in_sum
-        if not (self.iterate_iters and self.iterate_iters[-1] == k):
-            self._append(k, x, re_ref)
-
-    @property
-    def final(self):
-        return self.iterates[-1]
+    final: np.ndarray
+    iterate_sum: np.ndarray
+    count: int
+    stop_reason: str
+    re_to_reference: list
 
 
-def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
-              record_every=1, k0=0):
-    """Iterate Hedge from an interior start.
+def run_hedge(op, x0, schedule, max_iters=10**6, *, reference=None,
+              stop_re=None, k0=0):
+    """Iterate Hedge from an interior start and return its HedgeTrace.
 
     Stops on max_iters; when RE(reference, x_k) drops below stop_re; or
     on a fixed point, when the computed step returns x_k unchanged.  An
@@ -147,32 +117,30 @@ def run_hedge(op, x0, schedule, max_iters=10**6, reference=None, stop_re=None,
     response of tiny weight, is not a fixed point and keeps running.  k0
     offsets the schedule index so a run can be continued in segments.
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     op = as_operator(op)
     x = validate_mixed(x0)
     if not is_interior(x):
         raise ValueError("Hedge must start in the relative interior "
                          "(the boundary is invariant)")
-    trace = HedgeTrace(record_every=record_every)
     M = op.matrix if op.kind == "linear-matrix" else None
+    total = np.zeros_like(x)
+    res = []
     for k in range(k0, k0 + max_iters):
-        re_ref = None if reference is None else relative_entropy(reference, x)
-        trace._record(k, x, re_ref)
-        if stop_re is not None and re_ref is not None and re_ref < stop_re:
-            stop = "converged"
-        else:
-            p = M @ x if M is not None else payoff_vector(op, x)
-            x_next = _hedge_map(x, p, schedule.rate(k))
-            if not (x_next == x).all():
-                x = x_next
-                continue
-            stop = "fixed-point"
-        trace._record_final(k, x, re_ref, in_sum=True)
-        trace.stop_reason = stop
-        return trace
-    re_ref = None if reference is None else relative_entropy(reference, x)
-    trace._record_final(k0 + max_iters, x, re_ref, in_sum=False)
-    trace.stop_reason = "max-iters"
-    return trace
+        total += x
+        if reference is not None:
+            res.append(relative_entropy(reference, x))
+            if stop_re is not None and res[-1] < stop_re:
+                return HedgeTrace(x, total, k - k0 + 1, "converged", res)
+        p = M @ x if M is not None else payoff_vector(op, x)
+        x_next = _hedge_map(x, p, schedule.rate(k))
+        if (x_next == x).all():
+            return HedgeTrace(x, total, k - k0 + 1, "fixed-point", res)
+        x = x_next
+    if reference is not None:
+        res.append(relative_entropy(reference, x))
+    return HedgeTrace(x, total, max_iters, "max-iters", res)
 
 
 def _gap(C, x):
@@ -264,7 +232,7 @@ def support_search(C, start):
 _RESTARTS = 10
 _FIRST_CHECK = 100
 _SEGMENT = 2000
-_SCHEDULE = LearningRateSchedule("power", 1.0, 0.5)
+_SCHEDULE = LearningRateSchedule(1.0, 0.5)
 
 
 def _restart_orbits(n, seed):
@@ -306,8 +274,7 @@ def hedge_candidates(C, max_iters, seed=0):
         check = min(_FIRST_CHECK, _SEGMENT)
         while done < per_orbit:
             chunk = min(check, per_orbit) - done
-            trace = run_hedge(C, x, schedule, max_iters=chunk,
-                              record_every=chunk, k0=done)
+            trace = run_hedge(C, x, schedule, max_iters=chunk, k0=done)
             x = trace.final
             running += trace.iterate_sum
             done += trace.count
@@ -342,25 +309,19 @@ def _fresh(found, yielded):
 
 
 def average_iterates(trace):
-    """Uniform mean of every iterate of the orbit, the final one counted
-    once, from the exact full-orbit sum.
+    """Uniform mean of exactly the orbit's iterates, x_k0 .. final: the
+    exact full-orbit sum, plus the final iterate at a 'max-iters' stop.
 
     On a game whose interior equilibrium repels Hedge (rock-paper-
     scissors), this average approaches it only when a_k * k -> inf,
-    e.g. 'power' with exponent < 1: the orbit then covers flow time
+    e.g. an exponent below 1: the orbit then covers flow time
     t ~ sum a_k at a rate under which a mean over k averages the flow.
-    Under 'harmonic' (t ~ c ln k) the mean over k weights flow time by
-    e^(t/c) and tracks the orbit's recent past.
+    Under the harmonic exponent 1 (t ~ c ln k) the mean over k weights
+    flow time by e^(t/c) and tracks the orbit's recent past.
     """
-    if not trace.iterates:
-        raise ValueError("empty trace")
-    total = (np.zeros_like(trace.final) if trace.iterate_sum is None
-             else trace.iterate_sum.copy())
-    cnt = trace.count
-    if not trace.final_in_sum:
-        total += trace.final
-        cnt += 1
-    return total / cnt
+    if trace.stop_reason == "max-iters":
+        return (trace.iterate_sum + trace.final) / (trace.count + 1)
+    return trace.iterate_sum / trace.count
 
 
 def check_convexity_bounds(op, x, y, alphas):

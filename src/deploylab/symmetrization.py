@@ -25,8 +25,6 @@ class NormalizationRecord:
     shift_b: float
     scale: float          # c' in the epsilon bookkeeping
     min_a: float          # entry bounds of the normalized game
-    max_a: float
-    min_b: float
     max_b: float
 
 
@@ -83,8 +81,7 @@ def normalize_bimatrix(game):
     """
     A, B = game.A, game.B
     if A.min() > 0 and A.max() <= 1 and B.min() >= -1 and B.max() < 0:
-        rec = NormalizationRecord(0.0, 0.0, 1.0, A.min(), A.max(),
-                                  B.min(), B.max())
+        rec = NormalizationRecord(0.0, 0.0, 1.0, A.min(), B.max())
         return game, rec
     with np.errstate(over="ignore", invalid="ignore"):
         shift_a = 1.0 - A.min()          # min of the shifted A is 1
@@ -100,8 +97,7 @@ def normalize_bimatrix(game):
                          % (A.min(), A.max(), B.min(), B.max()))
     out = BimatrixGame(Ah, Bh)
     rec = NormalizationRecord(shift_a, shift_b, 1.0 / m,
-                              out.A.min(), out.A.max(),
-                              out.B.min(), out.B.max())
+                              out.A.min(), out.B.max())
     return out, rec
 
 

@@ -77,7 +77,7 @@ def test_criterion_02_convexity_lemma():
 def test_criterion_03_gess_convergence():
     ok = True
     worst = 0
-    schedule = LearningRateSchedule("harmonic", 10.0)
+    schedule = LearningRateSchedule(10.0, 1.0)
     for trial in range(20):
         rng = rng_for(103, trial)
         n = 2 + trial % 4
@@ -86,10 +86,9 @@ def test_criterion_03_gess_convergence():
         target[star] = 1.0
         x0 = rng.dirichlet(np.ones(n))
         trace = run_hedge(C, x0, schedule, max_iters=10**5,
-                          reference=target, stop_re=1e-4,
-                          record_every=10**5)
+                          reference=target, stop_re=1e-4)
         final_re = relative_entropy(target, trace.final)
-        worst = max(worst, trace.iterate_iters[-1])
+        worst = max(worst, trace.count - 1)
         if final_re >= 1e-4:
             ok = False
             break
@@ -105,24 +104,22 @@ def test_criterion_04_rps_repulsion_and_averaging():
     for trial in range(10):
         x0 = rng_for(104, trial).dirichlet(np.ones(3))
         for alpha in (0.1, 0.5, 1.0):
-            trace = run_hedge(C0, x0, LearningRateSchedule("constant", alpha),
-                              max_iters=300, reference=uniform,
-                              record_every=1)
+            trace = run_hedge(C0, x0, LearningRateSchedule(alpha, 0.0),
+                              max_iters=300, reference=uniform)
             re = np.array(trace.re_to_reference, dtype=float)
             if not (np.diff(re) > 0).all():
                 repulsion_ok = False
 
     # a_k = 1/sqrt(k+1): the orbit covers flow time t ~ 2 sqrt(k), so the
-    # uniform mean over k averages whole cycles of the flow.  Under
-    # 'harmonic' (t ~ ln k) it would weight flow time by e^t and only
-    # see the last cycle; that average does not converge.
+    # uniform mean over k averages whole cycles of the flow.  Under the
+    # harmonic a_k = 1/(k+1) (t ~ ln k) it would weight flow time by e^t
+    # and only see the last cycle; that average does not converge.
     avg_ok = True
     worst = 0.0
-    schedule = LearningRateSchedule("power", 1.0, 0.5)
+    schedule = LearningRateSchedule(1.0, 0.5)
     for trial in range(10):
         x0 = rng_for(104, trial).dirichlet(np.ones(3))
-        trace = run_hedge(C0, x0, schedule, max_iters=10**6,
-                          record_every=10**6)
+        trace = run_hedge(C0, x0, schedule, max_iters=10**6)
         dist = float(np.abs(average_iterates(trace) - uniform).max())
         worst = max(worst, dist)
         if dist > 1e-2:

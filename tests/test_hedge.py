@@ -26,22 +26,43 @@ def naive_hedge_step(C, x, alpha):
     return np.array([v / total for v in w])
 
 
+def naive_orbit(C, x0, schedule, max_iters, k0=0, reference=None,
+                stop_re=None):
+    """The iterates x_k0, x_k0+1, ... of naive_hedge_step under the stop
+    rules of run_hedge: RE(reference, x) below stop_re, a step that
+    returns x unchanged, or max_iters steps."""
+    xs = [np.asarray(x0, dtype=float)]
+    for k in range(k0, k0 + max_iters):
+        x = xs[-1]
+        if stop_re is not None and relative_entropy(reference, x) < stop_re:
+            break
+        x_next = naive_hedge_step(C, x, schedule.rate(k))
+        if (x_next == x).all():
+            break
+        xs.append(x_next)
+    return np.array(xs)
+
+
 class TestSchedules:
     def test_forms(self):
-        assert LearningRateSchedule("constant", 0.5).rate(99) == 0.5
-        assert LearningRateSchedule("harmonic", 2.0).rate(3) == 0.5
-        assert LearningRateSchedule("power", 1.0, 0.5).rate(3) == 0.5
+        assert LearningRateSchedule(0.5, 0.0).rate(99) == 0.5
+        assert LearningRateSchedule(2.0, 1.0).rate(3) == 0.5
+        assert LearningRateSchedule(1.0, 0.5).rate(3) == 0.5
+        # exponent 0 is exactly the constant c, exponent 1 exactly c/(k+1)
+        for c in (0.1, 1.0 / 3.0, 7.3):
+            for k in (0, 1, 6, 10**6):
+                assert LearningRateSchedule(c, 0.0).rate(k) == c
+                assert LearningRateSchedule(c, 1.0).rate(k) == c / (k + 1)
 
     def test_invalid_args(self):
+        for exponent in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="exponent"):
+                LearningRateSchedule(1.0, exponent)
         with pytest.raises(ValueError):
-            LearningRateSchedule("geometric", 1.0)
-        with pytest.raises(ValueError):
-            LearningRateSchedule("constant", 0.0)
-        with pytest.raises(ValueError):
-            LearningRateSchedule("power", 1.0, 1.5)
+            LearningRateSchedule(0.0, 0.0)
         for c in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive and finite"):
-                LearningRateSchedule("constant", c)
+                LearningRateSchedule(c, 0.0)
 
 
 class TestHedgeStep:
@@ -149,43 +170,80 @@ class TestRunHedge:
     def test_requires_interior_start(self):
         with pytest.raises(ValueError):
             run_hedge(np.eye(2), np.array([1.0, 0.0]),
-                      LearningRateSchedule("constant", 0.1), max_iters=10)
+                      LearningRateSchedule(0.1, 0.0), max_iters=10)
 
     def test_trace_bookkeeping(self):
         C = rng_for(17).random((3, 3))
-        trace = run_hedge(C, np.ones(3) / 3,
-                          LearningRateSchedule("constant", 0.1), max_iters=50,
-                          record_every=7)
+        sched = LearningRateSchedule(0.1, 0.0)
+        trace = run_hedge(C, np.ones(3) / 3, sched, max_iters=50)
         assert trace.count == 50
         assert trace.stop_reason == "max-iters"
-        assert trace.iterate_iters[0] == 0
-        assert trace.iterate_iters[-1] == 50  # final iterate appended
-        assert all(k % 7 == 0 for k in trace.iterate_iters[:-1])
+        assert trace.re_to_reference == []  # no reference given
+        xs = naive_orbit(C, np.ones(3) / 3, sched, 50)  # iterates 0..50
+        # the sum holds iterates 0..49; the final iterate 50 is not in it
+        assert np.allclose(trace.iterate_sum, xs[:-1].sum(axis=0),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(trace.final, xs[-1], rtol=0, atol=1e-12)
+        with pytest.raises(TypeError):  # reference is keyword-only
+            run_hedge(C, np.ones(3) / 3, sched, 50, np.ones(3) / 3)
+        empty = run_hedge(C, np.ones(3) / 3, sched, max_iters=0)
+        assert empty.count == 0 and empty.stop_reason == "max-iters"
+        assert (average_iterates(empty) == np.ones(3) / 3).all()
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_hedge(C, np.ones(3) / 3, sched, max_iters=-1)
 
     def test_average_matches_manual_mean(self):
         C = rng_for(18).random((3, 3))
-        trace = run_hedge(C, np.ones(3) / 3,
-                          LearningRateSchedule("constant", 0.1), max_iters=40,
-                          record_every=1)
-        manual = np.mean(trace.iterates, axis=0)  # iterates 0..40
+        sched = LearningRateSchedule(0.1, 0.0)
+        trace = run_hedge(C, np.ones(3) / 3, sched, max_iters=40)
+        manual = naive_orbit(C, np.ones(3) / 3, sched, 40).mean(axis=0)
         assert np.allclose(average_iterates(trace), manual, atol=1e-12)
 
     @pytest.mark.parametrize("k0", [1, 5, 1000])
     def test_average_with_offset_and_early_stop(self, k0):
         # a dominant row drives the orbit to a pure fixed point well
         # before max_iters; the stopping iterate is already in the sum
-        trace = run_hedge([[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5],
-                          LearningRateSchedule("constant", 1.0),
-                          max_iters=10**4, record_every=1, k0=k0)
+        C, x0 = [[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5]
+        sched = LearningRateSchedule(1.0, 0.0)
+        trace = run_hedge(C, x0, sched, max_iters=10**4, k0=k0)
         assert trace.stop_reason == "fixed-point"
-        assert len(trace.iterates) == trace.count
-        manual = np.mean(trace.iterates, axis=0)
-        assert np.allclose(average_iterates(trace), manual,
+        xs = naive_orbit(C, x0, sched, 10**4, k0)
+        assert len(xs) == trace.count
+        assert np.allclose(average_iterates(trace), xs.mean(axis=0),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stop", ["max-iters", "fixed-point",
+                                      "converged"])
+    def test_average_is_mean_of_orbit(self, stop):
+        # each stop reason, with the schedule offset by k0 = 7
+        stop_re, max_iters = None, 10**4
+        if stop == "max-iters":
+            C = rng_for(18).random((3, 3))
+            x0, ref = np.ones(3) / 3, np.array([0.5, 0.3, 0.2])
+            sched, max_iters = LearningRateSchedule(1.0, 0.5), 40
+        elif stop == "fixed-point":
+            C, x0 = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([0.5, 0.5])
+            ref, sched = np.array([1.0, 0.0]), LearningRateSchedule(1.0, 0.0)
+        else:
+            C, star = dominant_column_game(rng_for(19), 4)
+            x0, ref = np.ones(4) / 4, np.eye(4)[star]
+            sched, stop_re = LearningRateSchedule(10.0, 1.0), 1e-4
+        trace = run_hedge(C, x0, sched, max_iters, reference=ref,
+                          stop_re=stop_re, k0=7)
+        assert trace.stop_reason == stop
+        xs = naive_orbit(C, x0, sched, max_iters, 7, ref, stop_re)
+        assert len(xs) < max_iters or stop == "max-iters"
+        assert len(trace.re_to_reference) == len(xs)
+        assert trace.count == len(xs) - (stop == "max-iters")
+        assert np.allclose(trace.re_to_reference,
+                           [relative_entropy(ref, x) for x in xs],
+                           rtol=0, atol=1e-9)
+        assert np.allclose(average_iterates(trace), xs.mean(axis=0),
                            rtol=0, atol=1e-12)
 
     def test_fixed_point_stop(self, rps):
         trace = run_hedge(rps, np.ones(3) / 3,
-                          LearningRateSchedule("constant", 0.5), max_iters=100)
+                          LearningRateSchedule(0.5, 0.0), max_iters=100)
         assert trace.stop_reason == "fixed-point"
         assert np.allclose(trace.final, 1.0 / 3.0)
 
@@ -195,7 +253,7 @@ class TestRunHedge:
         # about 3e-47, still gains 0.32; that weight then grows again
         C = np.random.default_rng([105, 4]).random((10, 10))
         x0, sched = list(_restart_orbits(10, 4))[1]
-        trace = run_hedge(C, x0, sched, max_iters=10**5, record_every=10**5)
+        trace = run_hedge(C, x0, sched, max_iters=10**5)
         assert trace.stop_reason == "max-iters" and trace.count == 10**5
         p = C @ trace.final
         assert p.max() - trace.final @ p > 0.3
@@ -206,15 +264,14 @@ class TestRunHedge:
         C, star = dominant_column_game(rng, 4)
         ref = np.eye(4)[star]
         trace = run_hedge(C, np.ones(4) / 4,
-                          LearningRateSchedule("harmonic", 10.0),
-                          max_iters=10**5, reference=ref, stop_re=1e-4,
-                          record_every=10**5)
+                          LearningRateSchedule(10.0, 1.0),
+                          max_iters=10**5, reference=ref, stop_re=1e-4)
         assert trace.stop_reason == "converged"
         assert relative_entropy(ref, trace.final) < 1e-4
 
     def test_segmented_run_matches_single_run(self):
         C = rng_for(20).random((3, 3))
-        sched = LearningRateSchedule("harmonic", 1.0)
+        sched = LearningRateSchedule(1.0, 1.0)
         whole = run_hedge(C, np.ones(3) / 3, sched, max_iters=60)
         first = run_hedge(C, np.ones(3) / 3, sched, max_iters=25)
         second = run_hedge(C, first.final, sched, max_iters=35, k0=25)
@@ -229,7 +286,7 @@ def _plan(monkeypatch, orbits, segment):
     monkeypatch.setattr(hedge, "_SEGMENT", segment)
 
 
-POWER_HALF = LearningRateSchedule("power", 1.0, 0.5)
+POWER_HALF = LearningRateSchedule(1.0, 0.5)
 
 
 class TestHedgeCandidates:
@@ -309,8 +366,7 @@ class TestHedgeCandidates:
     def test_hedge_kinds_match_plain_means(self, monkeypatch):
         C = rng_for(25).random((4, 4))
         x0 = np.ones(4) / 4
-        full = run_hedge(C, x0, POWER_HALF, max_iters=50, record_every=1)
-        xs = np.array(full.iterates)  # iterates 0..50
+        xs = naive_orbit(C, x0, POWER_HALF, 50)  # iterates 0..50
         _plan(monkeypatch, [(x0, POWER_HALF)], 7)
         for _, done, kind, cand, gap in hedge_candidates(C, 50 * _RESTARTS):
             if kind == "last":
@@ -328,7 +384,7 @@ class TestHedgeCandidates:
         # at rate 1e-4 the orbit stays far from any fixed-point stop
         C = rng_for(29).random((3, 3))
         _plan(monkeypatch, [(np.ones(3) / 3,
-                             LearningRateSchedule("constant", 1e-4))], segment)
+                             LearningRateSchedule(1e-4, 0.0))], segment)
         return sorted({iters for _, iters, _, _, _
                        in hedge_candidates(C, per_orbit * _RESTARTS)})
 
@@ -355,8 +411,7 @@ class TestHedgeCandidates:
         # 2,000; its first 3,000 iterations are the budget's first tenth
         C = rng_for(30).random((4, 4))
         x0 = np.ones(4) / 4
-        full = run_hedge(C, x0, POWER_HALF, max_iters=3000, record_every=1)
-        xs = np.array(full.iterates)  # iterates 0..3000
+        xs = naive_orbit(C, x0, POWER_HALF, 3000)  # iterates 0..3000
         seen = set()
         for orbit, done, kind, cand, _ in hedge_candidates(
                 C, 3000 * _RESTARTS):
@@ -378,8 +433,8 @@ class TestHedgeCandidates:
         # rate 1e-6 each step still moves x by about 2.5e-7
         C = np.array([[1.0, 1.0], [0.0, 0.0]])
         x0 = np.array([0.5, 0.5])
-        _plan(monkeypatch, [(x0, LearningRateSchedule("constant", 1.0)),
-                            (x0, LearningRateSchedule("constant", 1e-6))],
+        _plan(monkeypatch, [(x0, LearningRateSchedule(1.0, 0.0)),
+                            (x0, LearningRateSchedule(1e-6, 0.0))],
               100)
         out = list(hedge_candidates(C, 1000 * _RESTARTS))
         first = [o for o in out if o[0] == 0]
@@ -513,7 +568,7 @@ class TestConvergence:
         C, star = dominant_column_game(rng, 5)
         ref = np.eye(5)[star]
         trace = run_hedge(C, np.ones(5) / 5,
-                          LearningRateSchedule("harmonic", 10.0),
+                          LearningRateSchedule(10.0, 1.0),
                           max_iters=10**4, reference=ref, stop_re=1e-4)
         assert trace.stop_reason == "converged"
 
@@ -522,7 +577,7 @@ class TestConvergence:
         C0, _, _ = rescale_to_unit(rps)
         uniform = np.ones(3) / 3
         x0 = np.array([0.4, 0.35, 0.25])
-        trace = run_hedge(C0, x0, LearningRateSchedule("constant", 0.5),
+        trace = run_hedge(C0, x0, LearningRateSchedule(0.5, 0.0),
                           max_iters=500, reference=uniform)
         res = trace.re_to_reference
         assert all(b > a for a, b in zip(res, res[1:]))
