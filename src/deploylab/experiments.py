@@ -125,9 +125,10 @@ def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     with max_iters // 10 iterations; a budget below 10 raises
     ValueError) and checks its candidates in turn against the
     equilibrium gap max(Cx) - x.Cx <= eps; 'candidate' names the kind
-    that passed and 'restarts' the restarts begun.  The search runs only
-    at a checkpoint where the Hedge and polish kinds all fail.  An eps
-    that is not positive and finite raises ValueError.
+    that passed and 'restarts' the restarts begun.  The support
+    enumeration runs only when the Hedge and polish kinds of the first
+    checkpoint all fail.  An eps that is not positive and finite raises
+    ValueError.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")

@@ -5,11 +5,13 @@ T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
 hedge_candidates, the candidate engine and restart plan of both Hedge
-solvers: Hedge proposes candidates, support_polish solves each one's
-leading supports exactly, and support_search descends from there over
-neighbouring supports.
+solvers: Hedge proposes candidates and ranks strategies, support_polish
+solves each candidate's leading supports exactly, and
+support_enumeration, run once per solve, solves supports smallest first
+in Hedge's rank order up to a fixed number of solves.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -187,46 +189,29 @@ def support_polish(C, x):
     return best
 
 
-def _neighbours(S, n):
-    """The supports one strategy away from the sorted tuple S: one
-    strategy dropped, one added, or one swapped for another."""
-    rest = [j for j in range(n) if j not in S]
-    if len(S) > 1:
-        for i in S:
-            yield tuple(s for s in S if s != i)
-    for j in rest:
-        yield tuple(sorted(S + (j,)))
-    for i in S:
-        for j in rest:
-            yield tuple(sorted([s for s in S if s != i] + [j]))
+_ENUM_CAP = 4096
 
 
-def support_search(C, start):
-    """Local descent over supports from the support of start = (z, gap).
+def support_enumeration(C, x):
+    """Symmetric equalizers of C over all supports, smallest first.
 
-    While the gap drops, moves to the neighbour support (see _neighbours)
-    whose _solve_support solution has the smallest gap; no support is
-    solved twice.  Returns the (z, gap) the descent ends at, start itself
-    when no neighbour beats it.  This is the support search of Porter,
-    Nudelman & Shoham (GEB 63, 2008), started from the support that
-    Hedge ranks first instead of from the smallest supports.
+    Solves supports with _solve_support by size, and within one size in
+    itertools.combinations order over the strategies ranked by x's
+    weights, descending (stable): the small-supports-first order of
+    Porter, Nudelman & Shoham (GEB 63, 2008), with x's ranking as the
+    tie-break.  Yields (z, gap) each time the gap beats every earlier
+    one, and stops after _ENUM_CAP solves, which covers every support
+    for n <= 12.
     """
-    n = C.shape[0]
-    best = start
-    support = tuple(np.flatnonzero(start[0]).tolist())
-    seen = {support}
-    while True:
-        step, bound = None, best[1]
-        for T in _neighbours(support, n):
-            if T in seen:
-                continue
-            seen.add(T)
-            solved = _solve_support(C, T)
-            if solved is not None and solved[1] < bound:
-                step, bound = (T, solved), solved[1]
-        if step is None:
-            return best
-        support, best = step
+    order = np.argsort(-x, kind="stable")
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(order, r) for r in range(1, len(x) + 1))
+    best = np.inf
+    for S in itertools.islice(supports, _ENUM_CAP):
+        solved = _solve_support(C, S)
+        if solved is not None and solved[1] < best:
+            best = solved[1]
+            yield solved
 
 
 _RESTARTS = 10
@@ -254,14 +239,14 @@ def hedge_candidates(C, max_iters, seed=0):
     _SEGMENT and then at every multiple of _SEGMENT.  At each checkpoint
     this yields (orbit, iterations, kind, strategy, gap) for 'last' (the
     current iterate) and 'all' (the orbit's mean), then 'polish-last'
-    and 'polish-all', the support_polish of each, then 'search-last' and
-    'search-all', the support_search from each polish when it beats the
-    polish gap.  A polish or search is skipped when it finds no solution
-    or a support the checkpoint already yielded.  iterations counts
-    every iteration so far over all orbits; gap is max(Cx) - x.Cx.  The
-    generator is lazy: a consumer that stops at a Hedge kind never pays
-    for its polish, and one that stops at a polish kind never pays for
-    the search.
+    and 'polish-all', the support_polish of each; a polish is skipped
+    when it finds no solution or a support the checkpoint already
+    yielded.  At the solve's first checkpoint only, 'enum' follows: each
+    improving support_enumeration result, ranked by the current iterate.
+    iterations counts every iteration so far over all orbits; gap is
+    max(Cx) - x.Cx.  The generator is lazy: a consumer that stops at a
+    Hedge kind never pays for its polish, and one that stops at a Hedge
+    or polish kind never pays for the enumeration.
     """
     per_orbit = max_iters // _RESTARTS
     if per_orbit < 1:
@@ -283,29 +268,21 @@ def hedge_candidates(C, max_iters, seed=0):
             for kind, cand in candidates:
                 yield orbit, used, kind, cand, _gap(C, cand)
             yielded = set()
-            polished = []
             for kind, cand in candidates:
                 found = support_polish(C, cand)
-                if found is not None and _fresh(found, yielded):
-                    polished.append((kind, found))
+                if found is None:
+                    continue
+                support = tuple(np.flatnonzero(found[0]).tolist())
+                if support not in yielded:
+                    yielded.add(support)
                     yield (orbit, used, "polish-" + kind) + found
-            for kind, found in polished:
-                searched = support_search(C, found)
-                if searched[1] < found[1] and _fresh(searched, yielded):
-                    yield (orbit, used, "search-" + kind) + searched
+            if used == trace.count:  # the solve's first checkpoint
+                for found in support_enumeration(C, x):
+                    yield (orbit, used, "enum") + found
             if trace.stop_reason == "fixed-point":
                 break
             check = (2 * check if 2 * check < _SEGMENT
                      else (check // _SEGMENT + 1) * _SEGMENT)
-
-
-def _fresh(found, yielded):
-    """Whether the support of found = (z, gap) is not in yielded; adds it."""
-    support = tuple(np.flatnonzero(found[0]).tolist())
-    if support in yielded:
-        return False
-    yielded.add(support)
-    return True
 
 
 def average_iterates(trace):

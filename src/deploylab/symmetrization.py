@@ -220,14 +220,14 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     [0,1]-rescaled GKT game: ten restarts, the first from the uniform
     point, each with max_iters // 10 iterations; a budget below 10
     raises ValueError.  Its candidates are, at each checkpoint, the last
-    iterate, the orbit's mean, the support polish of each and, when
-    those four fail, the support search from each polish.  Each
-    candidate is purged to a well-supported point and the whole epsilon
-    chain plus the final bimatrix predicate are re-verified before a
-    pair is returned; diagnostics['candidate'] names the kind that
-    passed and diagnostics['restarts'] the restarts begun.  On failure
-    the diagnostics report the best gap achieved; no pair is
-    fabricated.  Every result, a 1x1 game's included, carries the GKT
+    iterate, the orbit's mean and the support polish of each and, when
+    those fail at the first checkpoint, the support enumeration.  Each
+    candidate is purged once, to the budget's ws_on_unit level, and the
+    whole epsilon chain plus the final bimatrix predicate are
+    re-verified before a pair is returned; diagnostics['candidate']
+    names the kind that passed and diagnostics['restarts'] the restarts
+    begun.  On failure the diagnostics report the best gap achieved; no
+    pair is fabricated.  Every result, a 1x1 game's included, carries the GKT
     game ('gkt') and the NormalizationRecord ('normalization') it was
     built from; a 1x1 game runs no Hedge, so it needs no budget.
     """
@@ -253,33 +253,32 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
         if kind == "last":
             last = cand
         best_gap = min(best_gap, gap)
-        for level in (eps_ws, 2.0 * eps_ws, eps_ws / 2.0):
-            try:
-                p0, q0, _ = approx_to_well_supported(
-                    unit_game, cand, cand, level, check_precondition=False)
-            except ValueError:
-                continue
-            report, pair = _verify_chain(game, gkt_game, unit_game,
-                                         gkt_bimatrix, (p0, q0), budget, eps)
-            if pair is not None:
-                return {
-                    "success": True,
-                    "pair": pair,
-                    "iterations": total_iters,
-                    "eps_chain": {
-                        "target_eps": eps,
-                        "ws_on_gkt": budget.ws_on_gkt,
-                        "ws_on_unit": budget.ws_on_unit,
-                        "approx_on_unit": budget.approx_on_unit,
-                    },
-                    "verdicts": report,
-                    "diagnostics": {
-                        "restarts": orbit + 1,
-                        "candidate": kind,
-                        "best_gap_on_unit": best_gap,
-                    },
-                    **built,
-                }
+        try:
+            p0, q0, _ = approx_to_well_supported(
+                unit_game, cand, cand, eps_ws, check_precondition=False)
+        except ValueError:
+            continue
+        report, pair = _verify_chain(game, gkt_game, unit_game,
+                                     gkt_bimatrix, (p0, q0), budget, eps)
+        if pair is not None:
+            return {
+                "success": True,
+                "pair": pair,
+                "iterations": total_iters,
+                "eps_chain": {
+                    "target_eps": eps,
+                    "ws_on_gkt": budget.ws_on_gkt,
+                    "ws_on_unit": budget.ws_on_unit,
+                    "approx_on_unit": budget.approx_on_unit,
+                },
+                "verdicts": report,
+                "diagnostics": {
+                    "restarts": orbit + 1,
+                    "candidate": kind,
+                    "best_gap_on_unit": best_gap,
+                },
+                **built,
+            }
     return {
         "success": False,
         "pair": None,

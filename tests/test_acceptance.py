@@ -136,7 +136,7 @@ def test_criterion_04_rps_repulsion_and_averaging():
 
 def test_criterion_05_random_symmetric_study():
     failures = []
-    wins = {"hedge": 0, "polish": 0, "search": 0}
+    wins = {"hedge": 0, "polish": 0, "enum": 0}
     iterations = 0
     for trial in range(100):
         rng = rng_for(105, trial)
@@ -152,9 +152,9 @@ def test_criterion_05_random_symmetric_study():
             wins[family if family in wins else "hedge"] += 1
     ok = len(failures) <= 5
     solved = 100 - len(failures)
-    detail = ("%d/100 solved (%d hedge, %d polish, %d search), "
+    detail = ("%d/100 solved (%d hedge, %d polish, %d enum), "
               "%d iterations" % (solved, wins["hedge"], wins["polish"],
-                                 wins["search"], iterations))
+                                 wins["enum"], iterations))
     if failures:
         detail += "; failing seeds %r" % (failures,)
     record_criterion(5, ok, detail)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from deploylab import hedge
 from deploylab.experiments import (ExperimentConfig, emit_report,
                                    gen_random_game, hedge_symmetric_solve,
                                    run_experiment)
@@ -66,9 +67,11 @@ class TestHedgeSymmetricSolve:
         assert res["success"] and res["gap"] <= 1e-3
         assert is_approx_equilibrium(C, res["strategy"], 1e-3, "symmetric")
 
-    def test_failure_names_no_candidate(self):
-        # this 6x6 game is not solved at eps 1e-4 in 100 iterations per
-        # restart; the remainder of the budget is unused
+    def test_failure_names_no_candidate(self, monkeypatch):
+        # with the enumeration capped at no solves, this 6x6 game is not
+        # solved at eps 1e-4 in 100 iterations per restart; the remainder
+        # of the budget is unused
+        monkeypatch.setattr(hedge, "_ENUM_CAP", 0)
         C = np.random.default_rng([205, 91]).random((6, 6))
         res = hedge_symmetric_solve(
             C, 1e-4, max_iters=100 * _RESTARTS + _RESTARTS - 1, seed=91)

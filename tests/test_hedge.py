@@ -12,8 +12,8 @@ from deploylab.hedge import (_RESTARTS, LearningRateSchedule,
                              _restart_orbits, average_iterates,
                              check_convexity_bounds, hedge_candidates,
                              hedge_step, is_fixed_point, relative_entropy,
-                             rescale_to_unit, run_hedge, support_polish,
-                             support_search)
+                             rescale_to_unit, run_hedge, support_enumeration,
+                             support_polish)
 from conftest import (dominant_column_game, naive_matvec, random_simplex,
                       rng_for)
 
@@ -292,11 +292,9 @@ POWER_HALF = LearningRateSchedule(1.0, 0.5)
 class TestHedgeCandidates:
     def test_kind_order(self, monkeypatch):
         # at 10 and 20 iterations both polishes land on support {2}, so
-        # polish-all and search-all are skipped; at 30 and 40 the two
-        # polishes and the two searches land on four distinct supports
-        # and all six kinds are yielded
-        kinds_in_order = ["last", "all", "polish-last", "polish-all",
-                          "search-last", "search-all"]
+        # polish-all is skipped; at 30 and 40 they land on two supports.
+        # Only the first checkpoint enumerates: {2} (gap 0.38), then the
+        # pure equilibrium {3} (gap 0)
         C = rng_for(24, 240).random((5, 5))
         _plan(monkeypatch, [(np.ones(5) / 5, POWER_HALF)], 10)
         out = list(hedge_candidates(C, 40 * _RESTARTS))
@@ -305,63 +303,78 @@ class TestHedgeCandidates:
             assert orbit == 0
             by_segment.setdefault(iters, []).append(kind)
         assert sorted(by_segment) == [10, 20, 30, 40]
-        assert by_segment[10] == by_segment[20] == \
-            ["last", "all", "polish-last", "search-last"]
-        assert by_segment[30] == by_segment[40] == kinds_in_order
+        assert by_segment[10] == \
+            ["last", "all", "polish-last", "enum", "enum"]
+        assert by_segment[20] == ["last", "all", "polish-last"]
+        assert by_segment[30] == by_segment[40] == \
+            ["last", "all", "polish-last", "polish-all"]
+        enum = [(np.flatnonzero(z).tolist(), gap)
+                for _, _, kind, z, gap in out if kind == "enum"]
+        assert [s for s, _ in enum] == [[2], [3]]
+        assert enum[0][1] > 0.38 and enum[1][1] == 0.0
 
     def test_each_support_once_per_checkpoint(self, monkeypatch):
         # at many checkpoints of these games the two polishes land on one
-        # support; the checkpoint yields it once and descends from it
-        # once, and yields no search end point that it already yielded
-        polishes, descents = [], []
+        # support; the checkpoint yields it once.  The enumeration runs
+        # once per solve, at its first checkpoint, whatever the budget
+        polishes, runs = [], []
 
         def polish(C, x):
             found = support_polish(C, x)
             polishes.append(found is not None)
             return found
 
-        def search(C, start):
-            descents.append(start)
-            return support_search(C, start)
+        def enumeration(C, x):
+            runs.append(x)
+            return support_enumeration(C, x)
 
         monkeypatch.setattr(hedge, "support_polish", polish)
-        monkeypatch.setattr(hedge, "support_search", search)
+        monkeypatch.setattr(hedge, "support_enumeration", enumeration)
         yielded = 0
         for key, n in (([105, 4], 10), ([205, 91], 6)):
             C = np.random.default_rng(key).random((n, n))
             supports = {}
+            enum_at = set()
             for orbit, iters, kind, z, _ in hedge_candidates(C, 2 * 10**4):
-                if kind in ("last", "all"):
+                if kind == "enum":
+                    enum_at.add((orbit, iters))
+                if not kind.startswith("polish-"):
                     continue
                 seen = supports.setdefault((orbit, iters), set())
                 support = tuple(np.flatnonzero(z).tolist())
                 assert support not in seen, (key, orbit, iters, kind)
                 seen.add(support)
-                yielded += kind.startswith("polish-")
-        assert yielded == len(descents) < sum(polishes)
+                yielded += 1
+            assert enum_at == {(0, 100)}, key
+        assert len(runs) == 2
+        assert yielded < sum(polishes)
 
-    def test_search_is_lazy(self, monkeypatch):
+    def test_enumeration_is_lazy(self, monkeypatch):
         # criterion-5 game 4 is certified by polish-last at iteration
-        # 100; a consumer stopping there never runs the search
+        # 100; a consumer stopping there never runs the enumeration
         calls = []
 
-        def counting_search(C, start):
-            calls.append(start)
-            return start
+        def counting_enumeration(C, x):
+            calls.append(x)
+            return support_enumeration(C, x)
 
-        monkeypatch.setattr(hedge, "support_search", counting_search)
+        monkeypatch.setattr(hedge, "support_enumeration", counting_enumeration)
         C = np.random.default_rng([105, 4]).random((10, 10))
         gen = hedge_candidates(C, 10**6, 4)
-        for _, iters, kind, _, gap in gen:
+        for _, iters, kind, cand, gap in gen:
+            if kind == "last":
+                last = cand
             if gap <= 1e-3:
                 break
         assert (iters, kind) == (100, "polish-last")
         assert calls == []
-        # rejecting the rest of the checkpoint does run it
-        for _, iters, kind, _, _ in gen:
-            if iters > 100:
+        # rejecting the rest of the checkpoint runs it, ranked by that
+        # checkpoint's last iterate, and no later checkpoint runs it
+        for _, iters, _, _, _ in gen:
+            if iters > 800:
                 break
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], last)
 
     def test_hedge_kinds_match_plain_means(self, monkeypatch):
         C = rng_for(25).random((4, 4))
@@ -451,23 +464,18 @@ class TestHedgeCandidates:
 
 class TestSupportPolish:
     def test_polish_is_an_enumerated_equilibrium(self, monkeypatch):
-        searched = 0
         for trial in range(40):
             rng = rng_for(26, trial)
             n = int(rng.integers(2, 6))
             C = rng.random((n, n))
             eqs = support_enumeration_equilibria(BimatrixGame.symmetric(C))
             exact = 0
-            gaps = {}
+            enum_gaps = []
             _plan(monkeypatch, [(np.ones(n) / n, POWER_HALF)], 100)
             for _, iters, kind, z, gap in hedge_candidates(
                     C, 1000 * _RESTARTS):
-                gaps[iters, kind] = gap
-                if kind.startswith("search-"):
-                    # yielded only when the descent beat its polish
-                    polish = gaps[iters, kind.replace("search", "polish")]
-                    assert gap < polish, (trial, iters, kind)
-                    searched += gap <= 1e-9
+                if kind == "enum":
+                    enum_gaps.append(gap)
                 elif not kind.startswith("polish-"):
                     continue
                 assert (z >= 0).all()
@@ -481,7 +489,10 @@ class TestSupportPolish:
                                np.allclose(b, z, atol=1e-9)
                                for a, b in eqs), (trial, z)
             assert exact > 0, trial
-        assert searched > 0
+            # each enum candidate beats the one before it, and the whole
+            # enumeration (every support for n <= 12) ends at an equilibrium
+            assert all(b < a for a, b in zip(enum_gaps, enum_gaps[1:])), trial
+            assert enum_gaps[-1] <= 1e-9, trial
 
     def test_smallest_gap_wins_and_smaller_support_breaks_ties(self):
         # top-1 support: pure strategy 0, gap 1; top-2: (2/3, 1/3), gap 0
@@ -504,18 +515,59 @@ class TestSupportPolish:
             z2, gap2 = support_polish(shifted, x)
             assert np.allclose(z, z2, rtol=0, atol=1e-9), trial
             assert gap2 == pytest.approx(gap, abs=1e-9), trial
-            # each support's solution and gap are invariant; only a tie
-            # between exact equilibria may be broken the other way by
-            # rounding, so there the end point need only be as good
-            zs, gaps = support_search(C, (z, gap))
-            zs2, gaps2 = support_search(shifted, (z2, gap2))
-            assert gaps2 == pytest.approx(gaps, abs=1e-9), trial
-            p = C @ zs2
-            assert p.max() - zs2 @ p == pytest.approx(gaps, abs=1e-9), trial
-            if gaps > 1e-9:
-                assert np.allclose(zs, zs2, rtol=0, atol=1e-9), trial
-            moved += gaps < gap
+            # each support's solution and gap are invariant, so the
+            # enumeration yields the same supports and gaps up to its first
+            # exact equilibrium; past it only a tie between exact
+            # equilibria may be broken the other way by rounding
+            ranks = random_simplex(rng, n)
+            found = [_upto_exact(support_enumeration(M, ranks))
+                     for M in (C, shifted)]
+            assert len(found[0]) == len(found[1]), trial
+            for (z, gap), (z2, gap2) in zip(*found):
+                assert np.allclose(z, z2, rtol=0, atol=1e-9), trial
+                assert gap2 == pytest.approx(gap, abs=1e-9), trial
+            moved += len(found[0]) > 1
         assert moved > 0
+
+
+def _upto_exact(enumeration):
+    """The (z, gap) pairs of an enumeration up to its first gap <= 1e-9."""
+    out = []
+    for z, gap in enumeration:
+        out.append((z, gap))
+        if gap <= 1e-9:
+            break
+    return out
+
+
+class TestSupportEnumeration:
+    def test_order_and_cap(self, monkeypatch):
+        # with every candidate rejected, the enumeration solves all
+        # 2^n - 1 supports for n <= 12, each once, by size and then in
+        # combinations order over the ranks; at n = 13 it stops at the cap
+        solved = []
+
+        def counting(C, S):
+            solved.append(tuple(int(i) for i in S))
+            return real(C, S)
+
+        real = hedge._solve_support
+        monkeypatch.setattr(hedge, "_solve_support", counting)
+        x = np.array([0.1, 0.4, 0.2, 0.3])
+        for _ in support_enumeration(rng_for(31).random((4, 4)), x):
+            pass
+        assert solved[:8] == [(1,), (3,), (2,), (0,),
+                              (1, 3), (1, 2), (1, 0), (3, 2)]
+        for n in (1, 2, 5, 12, 13):
+            solved.clear()
+            C = rng_for(31, n).random((n, n))
+            for _ in support_enumeration(C, random_simplex(rng_for(32, n), n)):
+                pass
+            assert len(solved) == min(2 ** n - 1, hedge._ENUM_CAP), n
+            assert len(set(solved)) == len(solved), n
+            assert [len(S) for S in solved] == sorted(len(S) for S in solved)
+        assert hedge._ENUM_CAP == 4096
+
 
 
 class TestConvexityBounds:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deploylab import hedge
 from deploylab.games import (BimatrixGame, is_approx_equilibrium,
                              support_enumeration_equilibria)
 from deploylab.hedge import _RESTARTS
@@ -202,8 +203,7 @@ class TestPipeline:
         chain = res["eps_chain"]
         assert chain["ws_on_unit"] < chain["ws_on_gkt"] < chain["target_eps"]
         assert res["diagnostics"]["candidate"] in (
-            "last", "all", "polish-last", "polish-all", "search-last",
-            "search-all")
+            "last", "all", "polish-last", "polish-all", "enum")
 
     def test_eps_constraint_enforced(self):
         with pytest.raises(ValueError):
@@ -214,17 +214,19 @@ class TestPipeline:
             solve_bimatrix_via_hedge(STAG_HUNT, 0.05,
                                      max_iters=_RESTARTS - 1)
 
-    def test_second_restart_of_the_shared_plan(self):
-        # gkt-roundtrip trial [0, 1]: the first restart runs its 100,000
-        # iterations without a certificate, and the second restart, a
-        # seeded draw as in hedge_symmetric_solve, is certified at its
-        # first checkpoint
+    def test_second_restart_of_the_shared_plan(self, monkeypatch):
+        # gkt-roundtrip trial [0, 1] with the enumeration capped at no
+        # solves: the first restart runs its 100,000 iterations without a
+        # certificate, and the second restart, a seeded draw as in
+        # hedge_symmetric_solve, is certified at its first checkpoint
+        monkeypatch.setattr(hedge, "_ENUM_CAP", 0)
         rng = rng_for(0, 1)
         game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
         res = solve_bimatrix_via_hedge(game, 0.05, max_iters=10**6)
         assert res["success"] and all(res["verdicts"].values())
         assert res["iterations"] == 100100
         assert res["diagnostics"]["restarts"] == 2
+        assert res["diagnostics"]["candidate"] == "polish-last"
         assert is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix")
 
     def test_random_3x3_roundtrip(self):
@@ -234,19 +236,21 @@ class TestPipeline:
         assert res["success"]
         assert is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix")
 
-    @pytest.mark.parametrize("key, eps, iterations", [
-        ([9, 1], 0.002, 100), ([9, 23], 0.002, 162000),
-        ([8, 68], 0.01, 800), ([8, 72], 0.01, 400)],
-        ids=["9-1", "9-23", "8-68", "8-72"])
-    def test_games_no_prefix_polish_certifies(self, key, eps, iterations):
+    @pytest.mark.parametrize("key, eps", [
+        ([9, 1], 0.002), ([9, 23], 0.002), ([9, 4], 0.002),
+        ([8, 68], 0.01), ([8, 72], 0.01)],
+        ids=["9-1", "9-23", "9-4", "8-68", "8-72"])
+    def test_games_no_prefix_polish_certifies(self, key, eps):
         # the prefix polish of Hedge's weight order missed these games
-        # for the whole 2,000,000-iteration budget; the support search
-        # from it certifies them
+        # for the whole 2,000,000-iteration budget, and a local descent
+        # over supports from it needed up to 400,100 iterations for
+        # [9, 4]; the support enumeration certifies them at the first
+        # checkpoint
         rng = rng_for(*key)
         shape = (3, 3) if key[0] == 9 else rng.integers(2, 5, size=2)
         game = BimatrixGame(rng.random(shape), rng.random(shape))
         res = solve_bimatrix_via_hedge(game, eps)
         assert res["success"] and all(res["verdicts"].values())
-        assert res["iterations"] == iterations
-        assert res["diagnostics"]["candidate"].startswith("search-")
+        assert res["iterations"] == 100
+        assert res["diagnostics"]["candidate"] == "enum"
         assert is_approx_equilibrium(game, res["pair"], eps, "bimatrix")
