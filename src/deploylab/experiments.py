@@ -83,24 +83,20 @@ class ExperimentReport:
         return self.successes / self.trials if self.records else 0.0
 
 
-def _trial_rng(seed, trial):
-    return np.random.default_rng([seed, trial])
-
-
 def gen_random_game(kind, dims, seed):
     """Deterministic random game; entries i.i.d. uniform on [0,1].
 
-    kinds: 'symmetric' (C, used as (C, C^T)), 'bimatrix', 'stag-hunt'
-    (dims = player count; increasing benefit straddling c), 'strategic'
-    (dims = tuple of strategy counts).
+    kinds: 'symmetric' (C, used as (C, C^T)), 'bimatrix' (dims x dims),
+    'stag-hunt' (dims = player count; increasing benefit straddling c),
+    'strategic' (dims = tuple of strategy counts).
     """
     rng = np.random.default_rng(seed)
     if kind == "symmetric":
         C = rng.random((dims, dims))
         return BimatrixGame.symmetric(C)
     if kind == "bimatrix":
-        m, n = dims if isinstance(dims, tuple) else (dims, dims)
-        return BimatrixGame(rng.random((m, n)), rng.random((m, n)))
+        return BimatrixGame(rng.random((dims, dims)),
+                            rng.random((dims, dims)))
     if kind == "stag-hunt":
         n = dims
         c = float(rng.uniform(0.0, 1.0))
@@ -157,7 +153,7 @@ def _trial_random_symmetric(config, t):
 def _trial_rps_repulsion(config, t):
     C0, _, _ = rescale_to_unit(RPS)
     uniform = np.ones(3) / 3
-    rng = _trial_rng(config.seed, t)
+    rng = np.random.default_rng([config.seed, t])
     x0 = rng.dirichlet(np.ones(3))
     ok = True
     for alpha in (0.1, 0.5, 1.0):
@@ -187,7 +183,7 @@ def _trial_gkt_roundtrip(config, t):
 
 
 def _trial_stag_hunt(config, t):
-    rng = _trial_rng(config.seed, t)
+    rng = np.random.default_rng([config.seed, t])
     n = int(rng.integers(2, min(config.dimension, 4) + 1))
     spec = gen_random_game("stag-hunt", n, [config.seed, t, 1])
     game = build_stag_hunt(spec)
@@ -197,7 +193,7 @@ def _trial_stag_hunt(config, t):
 
 
 def _trial_mechanism(config, t):
-    rng = _trial_rng(config.seed, t)
+    rng = np.random.default_rng([config.seed, t])
     n = int(rng.integers(2, 4))
     spec = gen_random_game("stag-hunt", n, [config.seed, t, 1])
     margin = min(b - spec.c for b in spec.benefit if b > spec.c)
@@ -250,9 +246,9 @@ def run_experiment(config):
     return ExperimentReport(asdict(config), records, successes)
 
 
-def _svg_plot(values, title, width=480, height=240):
+def _svg_plot(values, title):
     """Minimal polyline plot; no plotting dependency."""
-    pad = 30
+    width, height, pad = 480, 240, 30
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
              % (width, height),
              '<text x="%d" y="15" font-size="12">%s</text>' % (pad, title),

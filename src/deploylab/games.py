@@ -17,33 +17,28 @@ SIMPLEX_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
-def validate_mixed(x, tol=SIMPLEX_TOL):
+def validate_mixed(x):
     """Check that x is a probability vector; return it as a float array."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("mixed strategy must be a vector")
-    if (x < -tol).any():
+    if (x < -SIMPLEX_TOL).any():
         raise ValueError("mixed strategy has negative weights")
-    if abs(x.sum() - 1.0) > max(tol, len(x) * SIMPLEX_TOL):
+    if abs(x.sum() - 1.0) > max(SIMPLEX_TOL, len(x) * SIMPLEX_TOL):
         raise ValueError("mixed strategy weights do not sum to 1")
     return x
 
 
 class PayoffOperator:
-    """Evaluator X -> CX; either an n x n matrix or a continuous callback.
+    """Evaluator X -> CX; either an n x n matrix or a continuous callback."""
 
-    The `bounds` attribute optionally declares a payoff range; several
-    convergence guarantees require payoffs in [0, 1].
-    """
-
-    def __init__(self, kind, dimension, matrix=None, func=None, bounds=None):
+    def __init__(self, kind, dimension, matrix=None, func=None):
         if kind not in ("linear-matrix", "nonlinear-callback"):
             raise ValueError("unknown operator kind %r" % (kind,))
         self.kind = kind
         self.dimension = int(dimension)
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.func = func
-        self.bounds = bounds
         if kind == "linear-matrix":
             if self.matrix is None or self.matrix.shape != (dimension, dimension):
                 raise ValueError("linear operator needs an n x n matrix")
@@ -51,15 +46,13 @@ class PayoffOperator:
             raise ValueError("nonlinear operator needs a callback")
 
     @classmethod
-    def from_matrix(cls, C, bounds=None):
+    def from_matrix(cls, C):
         C = np.asarray(C, dtype=float)
-        if bounds is None and C.size and C.min() >= 0.0 and C.max() <= 1.0:
-            bounds = (0.0, 1.0)
-        return cls("linear-matrix", C.shape[0], matrix=C, bounds=bounds)
+        return cls("linear-matrix", C.shape[0], matrix=C)
 
     @classmethod
-    def from_callback(cls, func, dimension, bounds=None):
-        return cls("nonlinear-callback", dimension, func=func, bounds=bounds)
+    def from_callback(cls, func, dimension):
+        return cls("nonlinear-callback", dimension, func=func)
 
 
 def as_operator(op):
@@ -84,16 +77,14 @@ def payoff_vector(op, x):
     return out
 
 
-def carrier(x, tol=0.0):
-    """Indices with weight above tol (the support of x)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def carrier(x):
+    """Indices with positive weight (the support of x)."""
     x = np.asarray(x, dtype=float)
-    return set(np.nonzero(x > tol)[0].tolist())
+    return set(np.nonzero(x > 0)[0].tolist())
 
 
-def is_interior(x, tol=0.0):
-    return len(carrier(x, tol)) == len(x)
+def is_interior(x):
+    return len(carrier(x)) == len(x)
 
 
 def _check_finite(*tables):
@@ -190,7 +181,7 @@ def _equalization_system(M, support_rows, support_cols):
     return eqs, rhs
 
 
-def support_enumeration_equilibria(game, eps=DEFAULT_TOL):
+def support_enumeration_equilibria(game):
     """All Nash equilibria of a small bimatrix game, by support enumeration.
 
     Solves the payoff-equalization linear system for every equal-size
@@ -213,7 +204,8 @@ def support_enumeration_equilibria(game, eps=DEFAULT_TOL):
                 except np.linalg.LinAlgError:
                     log.debug("singular support pair %s/%s skipped", rows, cols)
                     continue
-                if (sol_q[:k] < -eps).any() or (sol_p[:k] < -eps).any():
+                if (sol_q[:k] < -DEFAULT_TOL).any() or \
+                        (sol_p[:k] < -DEFAULT_TOL).any():
                     continue
                 q = np.zeros(n)
                 q[list(cols)] = np.clip(sol_q[:k], 0.0, None)
@@ -223,7 +215,7 @@ def support_enumeration_equilibria(game, eps=DEFAULT_TOL):
                     continue
                 q /= q.sum()
                 p /= p.sum()
-                if not is_approx_equilibrium(game, (p, q), eps, "bimatrix"):
+                if not is_approx_equilibrium(game, (p, q)):
                     continue
                 if any(np.allclose(p, p2, atol=1e-8) and np.allclose(q, q2, atol=1e-8)
                        for p2, q2 in found):

@@ -209,30 +209,30 @@ def analyze(game, tie_tol=0.0):
     return out
 
 
-def pure_nash(game, tol=0.0):
+def pure_nash(game):
     """Pure Nash equilibria, labelled 'strict' or 'weak' (see analyze)."""
-    return analyze(game, tol)["pure_nash"]
+    return analyze(game)["pure_nash"]
 
 
-def classify_acyclicity(game, tie_tol=0.0):
+def classify_acyclicity(game):
     """Acyclicity flags of a strategic game (see analyze)."""
-    return analyze(game, tie_tol)["flags"]
+    return analyze(game)["flags"]
 
 
-def build_ordinal_potential(game, tie_tol=0.0):
+def build_ordinal_potential(game):
     """An ordinal potential (profile -> int), or None (see analyze)."""
-    return analyze(game, tie_tol)["potential"]
+    return analyze(game)["potential"]
 
 
 def better_response_walk(game, start, kind="strict", seed=0, max_steps=1000,
-                         tie_tol=0.0, graph=None):
+                         graph=None):
     """Random walk along deployment arcs, uniform over out-arcs.
 
     Stops at a profile without out-arcs or after max_steps.  Sink sets
     do not depend on the arc distribution, only on arc presence.
     """
     if graph is None:
-        graph = build_graph(game, kind, tie_tol)
+        graph = build_graph(game, kind)
     rng = np.random.default_rng(seed)
     v = game.encode(tuple(start))
     visits = {}

@@ -78,14 +78,14 @@ def relative_entropy(p, q):
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def is_fixed_point(op, x, tol=DEFAULT_TOL):
+def is_fixed_point(op, x):
     """Fixed points of Hedge: pure strategies and carrier equalizers."""
     x = np.asarray(x, dtype=float)
-    supp = sorted(carrier(x, 0.0))
+    supp = sorted(carrier(x))
     if len(supp) <= 1:
         return True
     p = payoff_vector(op, x)[supp]
-    return bool(p.max() - p.min() <= tol)
+    return bool(p.max() - p.min() <= DEFAULT_TOL)
 
 
 @dataclass
@@ -238,11 +238,12 @@ def hedge_candidates(C, max_iters, seed=0):
     iteration.  Each orbit pauses at 100, 200, 400, ... iterations below
     _SEGMENT and then at every multiple of _SEGMENT.  At each checkpoint
     this yields (orbit, iterations, kind, strategy, gap) for 'last' (the
-    current iterate) and 'all' (the orbit's mean), then 'polish-last'
-    and 'polish-all', the support_polish of each; a polish is skipped
-    when it finds no solution or a support the checkpoint already
-    yielded.  At the solve's first checkpoint only, 'enum' follows: each
-    improving support_enumeration result, ranked by the current iterate.
+    current iterate) and 'all' (average_iterates of the orbit so far,
+    the current iterate included), then 'polish-last' and 'polish-all',
+    the support_polish of each; a polish is skipped when it finds no
+    solution or a support the checkpoint already yielded.  At the
+    solve's first checkpoint only, 'enum' follows: each improving
+    support_enumeration result, ranked by the current iterate.
     iterations counts every iteration so far over all orbits; gap is
     max(Cx) - x.Cx.  The generator is lazy: a consumer that stops at a
     Hedge kind never pays for its polish, and one that stops at a Hedge
@@ -264,7 +265,8 @@ def hedge_candidates(C, max_iters, seed=0):
             running += trace.iterate_sum
             done += trace.count
             used += trace.count
-            candidates = (("last", x), ("all", running / done))
+            candidates = (("last", x), ("all", average_iterates(
+                HedgeTrace(x, running, done, trace.stop_reason, []))))
             for kind, cand in candidates:
                 yield orbit, used, kind, cand, _gap(C, cand)
             yielded = set()
@@ -310,7 +312,8 @@ def check_convexity_bounds(op, x, y, alphas):
         RE(y, T_a(x)) <= RE(y, x) - a (y - x).Cx + a (e^a - 1) Cbar
 
     with Cbar = sum_j x(j) (Cx)_j^2.  Also reports the derivative at 0,
-    which should equal (x - y).Cx.
+    which should equal (x - y).Cx.  The secant bound needs payoffs in
+    [0, 1], so op must be a matrix with every entry in [0, 1].
     """
     op = as_operator(op)
     x = validate_mixed(x)
@@ -320,7 +323,8 @@ def check_convexity_bounds(op, x, y, alphas):
     alphas = sorted(float(a) for a in alphas)
     if any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive")
-    if op.bounds is None or op.bounds[0] < 0 or op.bounds[1] > 1:
+    if op.kind != "linear-matrix" or \
+            not ((op.matrix >= 0) & (op.matrix <= 1)).all():
         raise ValueError("secant bound needs payoffs bounded in [0, 1]")
     p = payoff_vector(op, x)
     cbar = float(np.sum(x * p * p))

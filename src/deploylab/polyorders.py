@@ -55,7 +55,7 @@ class StabilityVerdict:
         return self.status in ("confirmed-on-samples", "exact")
 
 
-def evaluate_relation(op, x, y, kind="strict", tol=STRICT_TOL):
+def evaluate_relation(op, x, y, kind="strict"):
     """Does x relate to y in the (strict/drifting) linear polyorder?
 
     Tests x.F(Z_e) vs y.F(Z_e) along the segment Z_e = e y + (1-e) x for
@@ -69,7 +69,7 @@ def evaluate_relation(op, x, y, kind="strict", tol=STRICT_TOL):
     for e in SEGMENT:
         z = e * y + (1.0 - e) * x
         diff = float((x - y) @ payoff_vector(op, z))
-        ok = diff > tol if kind == "strict" else diff >= -tol
+        ok = diff > STRICT_TOL if kind == "strict" else diff >= -STRICT_TOL
         if not ok:
             return False, float(e)
     return True, None
@@ -84,7 +84,7 @@ def _local_samples(x_star, radius, budget, n):
         yield x_star + d * min(1.0, radius / nrm)
 
 
-def _gess_exact_2x2(C, x_star, strict, tol):
+def _gess_exact_2x2(C, x_star, strict):
     """Exact GESS/GNSS verdict for n=2: sign analysis of a quadratic.
 
     g(t) = (x* - X_t) . C X_t with X_t = (t, 1-t) is quadratic in t;
@@ -115,7 +115,7 @@ def _gess_exact_2x2(C, x_star, strict, tol):
         val = g(t)
         # strict concepts must be positive away from x*; scale the
         # threshold by the distance so grazing the zero at x* is fine
-        thr = tol * abs(t - t_star) if strict else -tol
+        thr = STRICT_TOL * abs(t - t_star) if strict else -STRICT_TOL
         margin = val - thr
         if margin < worst:
             worst, worst_t = margin, t
@@ -127,7 +127,7 @@ def _gess_exact_2x2(C, x_star, strict, tol):
 
 
 def check_stability(op, x_star, concept, budget=None,
-                    neighborhood_radius=None, tol=STRICT_TOL):
+                    neighborhood_radius=None):
     """Sampled test of (x* - X).CX > 0 (strict) or >= 0 (weak).
 
     ESS/NSS sample a neighborhood of the given radius; GESS/GNSS/EDS
@@ -150,7 +150,7 @@ def check_stability(op, x_star, concept, budget=None,
 
     strict = concept in ("ESS", "GESS", "EDS")
     if concept in ("GESS", "GNSS") and n == 2 and op.kind == "linear-matrix":
-        return _gess_exact_2x2(op.matrix, x_star, strict, tol)
+        return _gess_exact_2x2(op.matrix, x_star, strict)
 
     used = 0
     for x in samples:
@@ -159,20 +159,20 @@ def check_stability(op, x_star, concept, budget=None,
         used += 1
         gain = float((x_star - x) @ payoff_vector(op, x))
         if strict:
-            ok = gain > tol
+            ok = gain > STRICT_TOL
             if not ok and concept == "EDS":
                 # equality is allowed at equilibrium strategies only
-                ok = gain >= -tol and is_approx_equilibrium(
+                ok = gain >= -STRICT_TOL and is_approx_equilibrium(
                     op, x, eps=1e-9, mode="symmetric")
         else:
-            ok = gain >= -tol
+            ok = gain >= -STRICT_TOL
         if not ok:
             return StabilityVerdict("falsified", witness=x, samples_used=used,
                                     detail={"gain": gain})
     return StabilityVerdict("confirmed-on-samples", samples_used=used)
 
 
-def check_variational(op, x_star, kind, budget=None, tol=STRICT_TOL):
+def check_variational(op, x_star, kind, budget=None):
     """Sampled variational-inequality tests.
 
     critical: (x* - X).F(x*) >= 0; minty: (x* - X).F(X) >= 0;
@@ -191,7 +191,7 @@ def check_variational(op, x_star, kind, budget=None, tol=STRICT_TOL):
             x, y = pts[i], pts[i + 1]
             used += 1
             val = float((x - y) @ (payoff_vector(op, y) - payoff_vector(op, x)))
-            if val < -tol:
+            if val < -STRICT_TOL:
                 return StabilityVerdict("falsified", witness=x, samples_used=used,
                                         detail={"pair": (x, y), "value": val})
         return StabilityVerdict("confirmed-on-samples", samples_used=used)
@@ -204,13 +204,13 @@ def check_variational(op, x_star, kind, budget=None, tol=STRICT_TOL):
         used += 1
         f = f_star if kind == "critical" else payoff_vector(op, x)
         val = float((x_star - x) @ f)
-        if val < -tol:
+        if val < -STRICT_TOL:
             return StabilityVerdict("falsified", witness=x, samples_used=used,
                                     detail={"value": val})
     return StabilityVerdict("confirmed-on-samples", samples_used=used)
 
 
-def drifting_maximality_falsifier(op, x_star, budget=None, tol=STRICT_TOL):
+def drifting_maximality_falsifier(op, x_star, budget=None):
     """Search for a strategy that dominates x* in the drifting polyorder.
 
     x* is maximal iff for every X either x* weakly beats X along the
@@ -232,8 +232,8 @@ def drifting_maximality_falsifier(op, x_star, budget=None, tol=STRICT_TOL):
             z = e * x + (1.0 - e) * x_star
             diffs.append(float((x_star - x) @ payoff_vector(op, z)))
         diffs = np.array(diffs)
-        weakly_everywhere = (diffs >= -tol).all()
-        strictly_somewhere = (diffs > tol).any()
+        weakly_everywhere = (diffs >= -STRICT_TOL).all()
+        strictly_somewhere = (diffs > STRICT_TOL).any()
         if not (weakly_everywhere or strictly_somewhere):
             return StabilityVerdict("falsified", witness=x, samples_used=used,
                                     detail={"diffs": diffs})

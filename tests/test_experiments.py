@@ -22,8 +22,8 @@ class TestGenRandomGame:
         assert np.array_equal(a.A, b.A)
 
     def test_kinds(self):
-        bim = gen_random_game("bimatrix", (2, 3), 0)
-        assert bim.shape == (2, 3)
+        bim = gen_random_game("bimatrix", 3, 0)
+        assert bim.shape == (3, 3)
         spec = gen_random_game("stag-hunt", 3, 0)
         assert spec.n == 3 and spec.benefit[-1] > spec.c > spec.benefit[0]
         strat = gen_random_game("strategic", (2, 2, 2), 0)

@@ -109,7 +109,7 @@ class TestHedgeStep:
         n = int(rng.integers(2, 8))
         C = rng.random((n, n))
         x = random_simplex(rng, n)
-        if is_fixed_point(C, x, tol=1e-9):
+        if is_fixed_point(C, x):
             return
         y = hedge_step(C, x, alpha)
         assert (y - x) @ (C @ x) > 0
@@ -385,7 +385,7 @@ class TestHedgeCandidates:
             if kind == "last":
                 expect = xs[done]
             elif kind == "all":
-                expect = xs[:done].mean(axis=0)
+                expect = xs[:done + 1].mean(axis=0)  # current one too
             else:
                 continue
             assert np.allclose(cand, expect, rtol=0, atol=1e-12), (done, kind)
@@ -433,7 +433,7 @@ class TestHedgeCandidates:
             if kind == "last":
                 expect = xs[done]
             elif kind == "all":
-                expect = xs[:done].mean(axis=0)
+                expect = xs[:done + 1].mean(axis=0)  # current one too
             else:
                 continue
             seen.add(done)
@@ -585,10 +585,17 @@ class TestConvexityBounds:
                                                      abs=1e-4)
 
     def test_needs_unit_bounds(self):
-        C = np.full((2, 2), 3.0)
-        with pytest.raises(ValueError):
-            check_convexity_bounds(C, np.array([0.5, 0.5]),
-                                   np.array([0.5, 0.5]), [0.5, 1.0])
+        x = np.array([0.5, 0.5])
+        # a callback has no payoff table to check, so it is rejected too
+        for op in (np.full((2, 2), 3.0),
+                   np.array([[0.0, 0.5], [np.nextafter(1.0, 2.0), 1.0]]),
+                   PayoffOperator.from_callback(lambda x: x / 2, 2)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                check_convexity_bounds(op, x, x, [0.5, 1.0])
+        # entries on both ends of [0, 1] are accepted
+        out = check_convexity_bounds(np.array([[0.0, 0.5], [1.0, 1.0]]), x,
+                                     np.array([0.9, 0.1]), [0.5, 1.0])
+        assert out["convex_ok"] and out["secant_ok"]
 
     def test_strict_convexity_off_fixed_points(self):
         C = np.array([[1.0, 1.0], [0.0, 0.0]])
