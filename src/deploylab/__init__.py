@@ -7,7 +7,6 @@ mechanisms (insurance, election), with a batch-experiment CLI.
 """
 
 from .games import (
-    PayoffOperator,
     BimatrixGame,
     StrategicGame,
     payoff_vector,

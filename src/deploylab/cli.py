@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 a solver or experiment missed its target, 2
 configuration or input error.  --workers must be at least 1.  A game
 too large to analyse exits 2 before any file is written.
 
-mechanism takes --premium and --surplus only with --type insurance, and
---penalty only with --type election.  experiment rejects a flag the
-chosen experiment does not read: rps-repulsion and mechanism-suite read
+solve reads --eps (default 0.05) only with --method hedge.  mechanism
+takes --premium and --surplus only with --type insurance, and --penalty
+only with --type election.  experiment rejects a flag the chosen
+experiment does not read: rps-repulsion and mechanism-suite read
 none of --dimension, --eps and --max-iters, and stag-hunt-suite reads
 only --dimension of them.  Two experiments cap --dimension silently:
 gkt-roundtrip plays min(D, 3) x min(D, 3) games, and stag-hunt-suite
@@ -44,6 +45,8 @@ def _write_json(data, path):
 
 
 def _cmd_solve(args):
+    if args.method == "enumerate" and args.eps is not None:
+        raise ValueError("--method enumerate takes no --eps")
     game = load_game(args.game)
     if not isinstance(game, BimatrixGame):
         raise ValueError("solve expects a bimatrix or symmetric game")
@@ -52,7 +55,8 @@ def _cmd_solve(args):
         out = {"method": "enumerate",
                "equilibria": [[p.tolist(), q.tolist()] for p, q in eqs]}
     else:
-        res = solve_bimatrix_via_hedge(game, args.eps)
+        res = solve_bimatrix_via_hedge(
+            game, 0.05 if args.eps is None else args.eps)
         out = {"method": "hedge", "success": res["success"],
                "iterations": res["iterations"]}
         if res["success"]:
@@ -194,7 +198,7 @@ def build_parser():
     p.add_argument("game")
     p.add_argument("--method", choices=("enumerate", "hedge"),
                    default="enumerate")
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 

@@ -1,8 +1,8 @@
 """Game representations, payoff evaluation, and equilibrium predicates.
 
 Strategies are numpy probability vectors on a finite pure-strategy set.
-Payoffs are evaluated either through an explicit matrix or a bounded
-continuous operator supplied as a callback.
+A symmetric game's payoffs are an n x n matrix C: the payoff vector at
+a mixed strategy x is Cx.
 """
 
 import itertools
@@ -22,6 +22,8 @@ def validate_mixed(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("mixed strategy must be a vector")
+    if not np.isfinite(x).all():
+        raise ValueError("mixed strategy has non-finite weights")
     if (x < -SIMPLEX_TOL).any():
         raise ValueError("mixed strategy has negative weights")
     if abs(x.sum() - 1.0) > max(SIMPLEX_TOL, len(x) * SIMPLEX_TOL):
@@ -29,52 +31,14 @@ def validate_mixed(x):
     return x
 
 
-class PayoffOperator:
-    """Evaluator X -> CX; either an n x n matrix or a continuous callback."""
-
-    def __init__(self, kind, dimension, matrix=None, func=None):
-        if kind not in ("linear-matrix", "nonlinear-callback"):
-            raise ValueError("unknown operator kind %r" % (kind,))
-        self.kind = kind
-        self.dimension = int(dimension)
-        self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
-        self.func = func
-        if kind == "linear-matrix":
-            if self.matrix is None or self.matrix.shape != (dimension, dimension):
-                raise ValueError("linear operator needs an n x n matrix")
-        elif func is None:
-            raise ValueError("nonlinear operator needs a callback")
-
-    @classmethod
-    def from_matrix(cls, C):
-        C = np.asarray(C, dtype=float)
-        return cls("linear-matrix", C.shape[0], matrix=C)
-
-    @classmethod
-    def from_callback(cls, func, dimension):
-        return cls("nonlinear-callback", dimension, func=func)
-
-
-def as_operator(op):
-    """Coerce a matrix or operator into a PayoffOperator."""
-    if isinstance(op, PayoffOperator):
-        return op
-    return PayoffOperator.from_matrix(op)
-
-
-def payoff_vector(op, x):
-    """The payoff vector CX at a mixed strategy x."""
-    op = as_operator(op)
+def payoff_vector(C, x):
+    """The payoff vector Cx at a mixed strategy x; C is len(x) x len(x)."""
+    C = np.asarray(C, dtype=float)
     x = np.asarray(x, dtype=float)
-    if len(x) != op.dimension:
-        raise ValueError("strategy dimension %d does not match operator dimension %d"
-                         % (len(x), op.dimension))
-    if op.kind == "linear-matrix":
-        return op.matrix @ x
-    out = np.asarray(op.func(x), dtype=float)
-    if out.shape != (op.dimension,):
-        raise ValueError("nonlinear callback returned wrong arity")
-    return out
+    if C.shape != (len(x), len(x)):
+        raise ValueError("payoff matrix of shape %s does not match strategy "
+                         "dimension %d" % (C.shape, len(x)))
+    return C @ x
 
 
 def carrier(x):
@@ -125,7 +89,7 @@ class BimatrixGame:
 def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix"):
     """Approximate-equilibrium predicates.
 
-    mode='symmetric': game is an operator/matrix C, profile a single
+    mode='symmetric': game is a payoff matrix C, profile a single
       strategy y; requires (y - E_i) . Cy >= -eps for every i.
     mode='bimatrix': game is a BimatrixGame, profile a pair (p, q);
       requires both players' deviation gains to be at most eps.
@@ -136,7 +100,7 @@ def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix"):
         raise ValueError("eps must be nonnegative")
     if mode == "symmetric":
         y = np.asarray(profile, dtype=float)
-        p = payoff_vector(as_operator(game), y)
+        p = payoff_vector(game, y)
         return float(y @ p) >= p.max() - eps
     if not isinstance(game, BimatrixGame):
         raise TypeError("bimatrix modes need a BimatrixGame")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (DEFAULT_TOL, _equalization_system, as_operator, carrier,
-                    is_interior, payoff_vector, validate_mixed)
+from .games import (DEFAULT_TOL, _equalization_system, carrier, is_interior,
+                    payoff_vector, validate_mixed)
 
 class LearningRateSchedule:
     """Learning rates a_k = c/(k+1)**exponent, exponent in [0, 1].
@@ -48,7 +48,7 @@ class LearningRateSchedule:
             self.c, self.exponent)
 
 
-def hedge_step(op, x, alpha):
+def hedge_step(C, x, alpha):
     """One application of the Hedge map at learning rate alpha.
 
     Exponents are shifted by their maximum before exponentiation; the
@@ -58,7 +58,7 @@ def hedge_step(op, x, alpha):
     if alpha < 0:
         raise ValueError("learning rate must be nonnegative")
     x = np.asarray(x, dtype=float)
-    return _hedge_map(x, payoff_vector(op, x), alpha)
+    return _hedge_map(x, payoff_vector(C, x), alpha)
 
 
 def _hedge_map(x, p, alpha):
@@ -78,13 +78,13 @@ def relative_entropy(p, q):
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def is_fixed_point(op, x):
+def is_fixed_point(C, x):
     """Fixed points of Hedge: pure strategies and carrier equalizers."""
     x = np.asarray(x, dtype=float)
     supp = sorted(carrier(x))
     if len(supp) <= 1:
         return True
-    p = payoff_vector(op, x)[supp]
+    p = payoff_vector(C, x)[supp]
     return bool(p.max() - p.min() <= DEFAULT_TOL)
 
 
@@ -109,7 +109,7 @@ class HedgeTrace:
     re_to_reference: list
 
 
-def run_hedge(op, x0, schedule, max_iters=10**6, *, reference=None,
+def run_hedge(C, x0, schedule, max_iters=10**6, *, reference=None,
               stop_re=None, k0=0):
     """Iterate Hedge from an interior start and return its HedgeTrace.
 
@@ -121,12 +121,12 @@ def run_hedge(op, x0, schedule, max_iters=10**6, *, reference=None,
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    op = as_operator(op)
+    C = np.asarray(C, dtype=float)
     x = validate_mixed(x0)
     if not is_interior(x):
         raise ValueError("Hedge must start in the relative interior "
                          "(the boundary is invariant)")
-    M = op.matrix if op.kind == "linear-matrix" else None
+    payoff_vector(C, x)  # raises unless C is len(x) x len(x)
     total = np.zeros_like(x)
     res = []
     for k in range(k0, k0 + max_iters):
@@ -135,8 +135,7 @@ def run_hedge(op, x0, schedule, max_iters=10**6, *, reference=None,
             res.append(relative_entropy(reference, x))
             if stop_re is not None and res[-1] < stop_re:
                 return HedgeTrace(x, total, k - k0 + 1, "converged", res)
-        p = M @ x if M is not None else payoff_vector(op, x)
-        x_next = _hedge_map(x, p, schedule.rate(k))
+        x_next = _hedge_map(x, C @ x, schedule.rate(k))
         if (x_next == x).all():
             return HedgeTrace(x, total, k - k0 + 1, "fixed-point", res)
         x = x_next
@@ -216,7 +215,7 @@ def support_enumeration(C, x):
 
 _RESTARTS = 10
 _FIRST_CHECK = 100
-_SEGMENT = 2000
+_STRIDE = 2000
 _SCHEDULE = LearningRateSchedule(1.0, 0.5)
 
 
@@ -236,7 +235,7 @@ def hedge_candidates(C, max_iters, seed=0):
     max_iters // _RESTARTS iterations or to a fixed-point stop; a budget
     below one iteration per restart raises ValueError before any
     iteration.  Each orbit pauses at 100, 200, 400, ... iterations below
-    _SEGMENT and then at every multiple of _SEGMENT.  At each checkpoint
+    _STRIDE and then at every multiple of _STRIDE.  At each checkpoint
     this yields (orbit, iterations, kind, strategy, gap) for 'last' (the
     current iterate) and 'all' (average_iterates of the orbit so far,
     the current iterate included), then 'polish-last' and 'polish-all',
@@ -257,7 +256,7 @@ def hedge_candidates(C, max_iters, seed=0):
     for orbit, (x, schedule) in enumerate(_restart_orbits(C.shape[0], seed)):
         running = np.zeros(len(x))
         done = 0
-        check = min(_FIRST_CHECK, _SEGMENT)
+        check = min(_FIRST_CHECK, _STRIDE)
         while done < per_orbit:
             chunk = min(check, per_orbit) - done
             trace = run_hedge(C, x, schedule, max_iters=chunk, k0=done)
@@ -283,8 +282,8 @@ def hedge_candidates(C, max_iters, seed=0):
                     yield (orbit, used, "enum") + found
             if trace.stop_reason == "fixed-point":
                 break
-            check = (2 * check if 2 * check < _SEGMENT
-                     else (check // _SEGMENT + 1) * _SEGMENT)
+            check = (2 * check if 2 * check < _STRIDE
+                     else (check // _STRIDE + 1) * _STRIDE)
 
 
 def average_iterates(trace):
@@ -303,7 +302,7 @@ def average_iterates(trace):
     return trace.iterate_sum / trace.count
 
 
-def check_convexity_bounds(op, x, y, alphas):
+def check_convexity_bounds(C, x, y, alphas):
     """Numeric check of the entropy convexity and secant bounds.
 
     Verifies that a |-> RE(y, T_a(x)) has nonnegative second divided
@@ -313,9 +312,9 @@ def check_convexity_bounds(op, x, y, alphas):
 
     with Cbar = sum_j x(j) (Cx)_j^2.  Also reports the derivative at 0,
     which should equal (x - y).Cx.  The secant bound needs payoffs in
-    [0, 1], so op must be a matrix with every entry in [0, 1].
+    [0, 1], so every entry of C must lie in [0, 1].
     """
-    op = as_operator(op)
+    C = np.asarray(C, dtype=float)
     x = validate_mixed(x)
     y = validate_mixed(y)
     if not is_interior(x):
@@ -323,16 +322,15 @@ def check_convexity_bounds(op, x, y, alphas):
     alphas = sorted(float(a) for a in alphas)
     if any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive")
-    if op.kind != "linear-matrix" or \
-            not ((op.matrix >= 0) & (op.matrix <= 1)).all():
+    if not ((C >= 0) & (C <= 1)).all():
         raise ValueError("secant bound needs payoffs bounded in [0, 1]")
-    p = payoff_vector(op, x)
+    p = payoff_vector(C, x)
     cbar = float(np.sum(x * p * p))
     drift = float((y - x) @ p)
     re0 = relative_entropy(y, x)
 
     grid = [0.0] + alphas
-    vals = [re0] + [relative_entropy(y, hedge_step(op, x, a)) for a in alphas]
+    vals = [re0] + [relative_entropy(y, hedge_step(C, x, a)) for a in alphas]
 
     second = []
     for i in range(len(grid) - 2):
@@ -349,8 +347,8 @@ def check_convexity_bounds(op, x, y, alphas):
         if v > bound + 1e-9:
             secant_ok = False
     h = 1e-7
-    deriv_fd = (relative_entropy(y, hedge_step(op, x, h)) - re0) / h
-    fixed = is_fixed_point(op, x)
+    deriv_fd = (relative_entropy(y, hedge_step(C, x, h)) - re0) / h
+    fixed = is_fixed_point(C, x)
     return {
         "alphas": grid,
         "re_values": vals,

@@ -1,11 +1,15 @@
-"""Sampled checkers for polyorder relations and stability concepts.
+"""Polyorder relations and stability concepts of a payoff matrix C.
 
-The continuous definitions quantify over every strategy X and every
-point of a segment; these verifiers test them on finite grids and
-sampled strategies, so a positive verdict is 'confirmed-on-samples',
-never a proof.  Falsifications come with a re-checkable witness.
-Only the 2-strategy linear case admits an exact verdict (the relevant
-expression is a scalar quadratic).
+A polyorder relation compares (x - y).C Z_e along the segment
+Z_e = e y + (1 - e) x.  That difference is affine in e, so its values
+at the segment's two endpoints decide the relation exactly.  The
+stability concepts and variational inequalities quantify over every
+strategy X; these verifiers test them on sampled strategies, so a
+positive verdict is 'confirmed-on-samples', never a proof, except for
+GESS/GNSS at n = 2, where the relevant expression is a scalar quadratic
+and the verdict is 'exact'.  The drifting-maximality falsifier samples
+X and decides each segment exactly.  Falsifications come with a
+re-checkable witness.
 """
 
 from dataclasses import dataclass, field
@@ -13,15 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .games import as_operator, is_approx_equilibrium, payoff_vector
+from .games import is_approx_equilibrium, payoff_vector
 
 STRICT_TOL = 1e-10
 
 LOCAL_CONCEPTS = ("ESS", "NSS")
 GLOBAL_CONCEPTS = ("GESS", "GNSS", "EDS")
-
-# epsilons of the segment Z_e tested by the polyorder relations
-SEGMENT = np.linspace(0.0, 1.0, 101)
 
 
 @dataclass
@@ -55,23 +56,35 @@ class StabilityVerdict:
         return self.status in ("confirmed-on-samples", "exact")
 
 
-def evaluate_relation(op, x, y, kind="strict"):
+def _segment_ends(C, x, y):
+    """(x - y).C Z_e at e = 0 and e = 1, i.e. at Z_e = x and Z_e = y."""
+    d = x - y
+    return np.array([d @ payoff_vector(C, x), d @ payoff_vector(C, y)])
+
+
+def evaluate_relation(C, x, y, kind="strict"):
     """Does x relate to y in the (strict/drifting) linear polyorder?
 
-    Tests x.F(Z_e) vs y.F(Z_e) along the segment Z_e = e y + (1-e) x for
-    every epsilon of SEGMENT.  Returns (holds, first_failing_epsilon).
+    Requires (x - y).C Z_e > STRICT_TOL ('strict') or >= -STRICT_TOL
+    ('drifting') at every point Z_e = e y + (1-e) x, e in [0, 1], of the
+    segment; the two ends decide it.  Returns (holds, first_failing_e):
+    0.0 when e = 0 already fails, else the e at which the affine
+    difference meets the threshold.
     """
-    op = as_operator(op)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if kind not in ("strict", "drifting"):
         raise ValueError("kind must be strict or drifting")
-    for e in SEGMENT:
-        z = e * y + (1.0 - e) * x
-        diff = float((x - y) @ payoff_vector(op, z))
-        ok = diff > STRICT_TOL if kind == "strict" else diff >= -STRICT_TOL
-        if not ok:
-            return False, float(e)
+    thr = STRICT_TOL if kind == "strict" else -STRICT_TOL
+
+    def ok(diff):
+        return diff > thr if kind == "strict" else diff >= thr
+
+    d0, d1 = _segment_ends(C, x, y)
+    if not ok(d0):
+        return False, 0.0
+    if not ok(d1):
+        return False, float((d0 - thr) / (d0 - d1))
     return True, None
 
 
@@ -126,7 +139,7 @@ def _gess_exact_2x2(C, x_star, strict):
     return StabilityVerdict("exact", samples_used=len(cand))
 
 
-def check_stability(op, x_star, concept, budget=None,
+def check_stability(C, x_star, concept, budget=None,
                     neighborhood_radius=None):
     """Sampled test of (x* - X).CX > 0 (strict) or >= 0 (weak).
 
@@ -136,7 +149,6 @@ def check_stability(op, x_star, concept, budget=None,
     """
     if concept not in LOCAL_CONCEPTS + GLOBAL_CONCEPTS:
         raise ValueError("unknown stability concept %r" % (concept,))
-    op = as_operator(op)
     x_star = np.asarray(x_star, dtype=float)
     n = len(x_star)
     if budget is None:
@@ -149,21 +161,21 @@ def check_stability(op, x_star, concept, budget=None,
         samples = budget.samples(n)
 
     strict = concept in ("ESS", "GESS", "EDS")
-    if concept in ("GESS", "GNSS") and n == 2 and op.kind == "linear-matrix":
-        return _gess_exact_2x2(op.matrix, x_star, strict)
+    if concept in ("GESS", "GNSS") and n == 2:
+        return _gess_exact_2x2(C, x_star, strict)
 
     used = 0
     for x in samples:
         if np.allclose(x, x_star, atol=1e-12):
             continue
         used += 1
-        gain = float((x_star - x) @ payoff_vector(op, x))
+        gain = float((x_star - x) @ payoff_vector(C, x))
         if strict:
             ok = gain > STRICT_TOL
             if not ok and concept == "EDS":
                 # equality is allowed at equilibrium strategies only
                 ok = gain >= -STRICT_TOL and is_approx_equilibrium(
-                    op, x, eps=1e-9, mode="symmetric")
+                    C, x, eps=1e-9, mode="symmetric")
         else:
             ok = gain >= -STRICT_TOL
         if not ok:
@@ -172,7 +184,7 @@ def check_stability(op, x_star, concept, budget=None,
     return StabilityVerdict("confirmed-on-samples", samples_used=used)
 
 
-def check_variational(op, x_star, kind, budget=None):
+def check_variational(C, x_star, kind, budget=None):
     """Sampled variational-inequality tests.
 
     critical: (x* - X).F(x*) >= 0; minty: (x* - X).F(X) >= 0;
@@ -180,17 +192,16 @@ def check_variational(op, x_star, kind, budget=None):
     """
     if kind not in ("critical", "minty", "monotone"):
         raise ValueError("unknown kind %r" % (kind,))
-    op = as_operator(op)
     if budget is None:
         budget = SampleBudget()
     if kind == "monotone":
-        n = op.dimension
+        n = len(C)
         pts = list(budget.samples(n))
         used = 0
         for i in range(0, len(pts) - 1, 2):
             x, y = pts[i], pts[i + 1]
             used += 1
-            val = float((x - y) @ (payoff_vector(op, y) - payoff_vector(op, x)))
+            val = float((x - y) @ (payoff_vector(C, y) - payoff_vector(C, x)))
             if val < -STRICT_TOL:
                 return StabilityVerdict("falsified", witness=x, samples_used=used,
                                         detail={"pair": (x, y), "value": val})
@@ -198,11 +209,11 @@ def check_variational(op, x_star, kind, budget=None):
 
     x_star = np.asarray(x_star, dtype=float)
     n = len(x_star)
-    f_star = payoff_vector(op, x_star) if kind == "critical" else None
+    f_star = payoff_vector(C, x_star) if kind == "critical" else None
     used = 0
     for x in budget.samples(n):
         used += 1
-        f = f_star if kind == "critical" else payoff_vector(op, x)
+        f = f_star if kind == "critical" else payoff_vector(C, x)
         val = float((x_star - x) @ f)
         if val < -STRICT_TOL:
             return StabilityVerdict("falsified", witness=x, samples_used=used,
@@ -210,14 +221,15 @@ def check_variational(op, x_star, kind, budget=None):
     return StabilityVerdict("confirmed-on-samples", samples_used=used)
 
 
-def drifting_maximality_falsifier(op, x_star, budget=None):
+def drifting_maximality_falsifier(C, x_star, budget=None):
     """Search for a strategy that dominates x* in the drifting polyorder.
 
     x* is maximal iff for every X either x* weakly beats X along the
     whole segment or strictly beats it somewhere.  A sampled X violating
-    both disjuncts is a witness against maximality.
+    both disjuncts is a witness against maximality; detail["diffs"]
+    holds (x* - X).C Z at the segment's ends Z = x* and Z = X, which
+    bound the difference on the whole segment.
     """
-    op = as_operator(op)
     x_star = np.asarray(x_star, dtype=float)
     n = len(x_star)
     if budget is None:
@@ -227,11 +239,7 @@ def drifting_maximality_falsifier(op, x_star, budget=None):
         if np.allclose(x, x_star, atol=1e-12):
             continue
         used += 1
-        diffs = []
-        for e in SEGMENT:
-            z = e * x + (1.0 - e) * x_star
-            diffs.append(float((x_star - x) @ payoff_vector(op, z)))
-        diffs = np.array(diffs)
+        diffs = _segment_ends(C, x_star, x)
         weakly_everywhere = (diffs >= -STRICT_TOL).all()
         strictly_somewhere = (diffs > STRICT_TOL).any()
         if not (weakly_everywhere or strictly_somewhere):

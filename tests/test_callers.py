@@ -29,8 +29,6 @@ ALLOWED = {
         "polyorders API that exact linear verdicts extend",
     "evaluate_relation": "polyorders API that exact linear verdicts extend",
     "StabilityVerdict.confirmed": "the verdict reading of that API",
-    "PayoffOperator.from_callback":
-        "the only way to build a nonlinear payoff operator",
 }
 
 # optional parameters that no caller sets but stay, each with its reason

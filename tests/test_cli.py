@@ -178,6 +178,18 @@ def test_one_by_one_skips_the_eps_constraint(one_by_one_file, tmp_path):
                                  "iterations": 0, "pair": [[1.0], [1.0]]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eps", "nan"], ["--eps=-3"],
+    ["--method", "enumerate", "--eps", "0.05"]])
+def test_enumerate_rejects_eps(argv, stag_hunt_file, tmp_path, capsys):
+    # support enumeration reads no --eps, so any value given is stray
+    out = tmp_path / "eq.json"
+    assert main(["solve", stag_hunt_file, "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == \
+        "error: --method enumerate takes no --eps\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "symmetrize"])
 def test_nan_eps_exits_two_and_writes_nothing(command, stag_hunt_file,
                                               tmp_path, capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deploylab.games import (BimatrixGame, PayoffOperator, StrategicGame,
-                             as_operator, carrier, game_from_dict,
-                             game_to_dict, is_approx_equilibrium, is_interior,
-                             load_game, payoff_vector, save_game,
+from deploylab.games import (BimatrixGame, StrategicGame, carrier,
+                             game_from_dict, game_to_dict,
+                             is_approx_equilibrium, is_interior, load_game,
+                             payoff_vector, save_game,
                              support_enumeration_equilibria, validate_mixed)
 from conftest import (naive_bimatrix_gains, naive_matvec, random_simplex,
                       rng_for)
@@ -36,34 +36,30 @@ class TestValidateMixed:
         with pytest.raises(ValueError):
             validate_mixed(np.eye(2))
 
+    @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.nan, 1.0],
+                                   [np.inf, 0.0], [-np.inf, 1.0],
+                                   [np.inf, -np.inf]])
+    def test_rejects_non_finite_weights(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_mixed(x)
 
-class TestPayoffOperator:
+
+class TestPayoffVector:
     def test_linear_matches_naive_matvec(self):
         for trial in range(20):
             rng = rng_for(1, trial)
             n = int(rng.integers(2, 8))
             C = rng.normal(size=(n, n))
             x = random_simplex(rng, n)
-            got = payoff_vector(PayoffOperator.from_matrix(C), x)
+            got = payoff_vector(C, x)
             assert np.allclose(got, naive_matvec(C, x), atol=1e-12)
-
-    def test_matrix_coercion(self):
-        C = np.eye(3)
-        assert as_operator(C).kind == "linear-matrix"
-
-    def test_callback_operator(self):
-        op = PayoffOperator.from_callback(lambda x: x ** 2, 3)
-        x = np.array([0.5, 0.3, 0.2])
-        assert np.allclose(payoff_vector(op, x), x ** 2)
-
-    def test_callback_arity_checked(self):
-        op = PayoffOperator.from_callback(lambda x: x[:2], 3)
-        with pytest.raises(ValueError):
-            payoff_vector(op, np.ones(3) / 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             payoff_vector(np.eye(3), np.ones(2) / 2)
+        # a non-square C is rejected even when C @ x is defined
+        with pytest.raises(ValueError):
+            payoff_vector(np.ones((2, 3)), np.ones(3) / 3)
 
 
 class TestCarrierAndResponses:

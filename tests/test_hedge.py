@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deploylab import hedge
-from deploylab.games import (BimatrixGame, PayoffOperator,
-                             support_enumeration_equilibria)
+from deploylab.games import BimatrixGame, support_enumeration_equilibria
 from deploylab.hedge import (_RESTARTS, LearningRateSchedule,
                              _restart_orbits, average_iterates,
                              check_convexity_bounds, hedge_candidates,
@@ -283,7 +282,7 @@ def _plan(monkeypatch, orbits, segment):
     takes per_orbit * _RESTARTS as the budget for per_orbit iterations
     per orbit."""
     monkeypatch.setattr(hedge, "_restart_orbits", lambda n, seed: orbits)
-    monkeypatch.setattr(hedge, "_SEGMENT", segment)
+    monkeypatch.setattr(hedge, "_STRIDE", segment)
 
 
 POWER_HALF = LearningRateSchedule(1.0, 0.5)
@@ -402,7 +401,7 @@ class TestHedgeCandidates:
                        in hedge_candidates(C, per_orbit * _RESTARTS)})
 
     def test_doubling_ramp_then_segments(self, monkeypatch):
-        assert self._checkpoints(monkeypatch, 9000, hedge._SEGMENT) == \
+        assert self._checkpoints(monkeypatch, 9000, hedge._STRIDE) == \
             [100, 200, 400, 800, 1600, 2000, 4000, 6000, 8000, 9000]
 
     @pytest.mark.parametrize("per_orbit, segment", [
@@ -586,16 +585,20 @@ class TestConvexityBounds:
 
     def test_needs_unit_bounds(self):
         x = np.array([0.5, 0.5])
-        # a callback has no payoff table to check, so it is rejected too
-        for op in (np.full((2, 2), 3.0),
-                   np.array([[0.0, 0.5], [np.nextafter(1.0, 2.0), 1.0]]),
-                   PayoffOperator.from_callback(lambda x: x / 2, 2)):
+        for C in (np.full((2, 2), 3.0),
+                  np.array([[0.0, 0.5], [np.nextafter(1.0, 2.0), 1.0]])):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                check_convexity_bounds(op, x, x, [0.5, 1.0])
+                check_convexity_bounds(C, x, x, [0.5, 1.0])
         # entries on both ends of [0, 1] are accepted
         out = check_convexity_bounds(np.array([[0.0, 0.5], [1.0, 1.0]]), x,
                                      np.array([0.9, 0.1]), [0.5, 1.0])
         assert out["convex_ok"] and out["secant_ok"]
+
+    def test_rejects_nan_target(self):
+        # every comparison with NaN is False, so no bound check can fail
+        with pytest.raises(ValueError, match="non-finite"):
+            check_convexity_bounds(0.5 * np.eye(2), np.array([0.5, 0.5]),
+                                   np.array([np.nan, np.nan]), [0.5])
 
     def test_strict_convexity_off_fixed_points(self):
         C = np.array([[1.0, 1.0], [0.0, 0.0]])

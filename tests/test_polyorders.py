@@ -10,6 +10,39 @@ from deploylab.polyorders import (SampleBudget, check_stability,
 from conftest import dominant_column_game, rng_for
 
 COORDINATION = np.array([[1.0, 0.0], [0.0, 0.0]])
+TOL = 1e-10
+
+# the 101-point segment grid the relations were once scanned on
+GRID = np.linspace(0.0, 1.0, 101)
+
+
+def grid_relation(C, x, y, kind):
+    """(holds, first failing grid epsilon) by scanning (x - y).C Z_e on
+    GRID: a naive reference for evaluate_relation."""
+    for e in GRID:
+        diff = float((x - y) @ (C @ (e * y + (1.0 - e) * x)))
+        if not (diff > TOL if kind == "strict" else diff >= -TOL):
+            return False, float(e)
+    return True, None
+
+
+def grid_falsifier(C, x_star, budget):
+    """The first sample that drifting-dominates x* on GRID, or None: a
+    naive reference for drifting_maximality_falsifier."""
+    for x in budget.samples(len(x_star)):
+        if np.allclose(x, x_star, atol=1e-12):
+            continue
+        diffs = np.array([(x_star - x) @ (C @ (e * x + (1.0 - e) * x_star))
+                          for e in GRID])
+        if not ((diffs >= -TOL).all() or (diffs > TOL).any()):
+            return x
+    return None
+
+
+def _random_strategy(rng, n):
+    if rng.random() < 0.2:
+        return np.eye(n)[int(rng.integers(n))]
+    return rng.dirichlet(np.ones(n))
 
 
 def brute_force_gess_2x2(C, x_star, strict, points=10001):
@@ -74,6 +107,27 @@ class TestEvaluateRelation:
         with pytest.raises(ValueError):
             evaluate_relation(COORDINATION, np.eye(2)[0], np.eye(2)[1],
                               kind="weak")
+
+    def test_endpoints_agree_with_grid_scan(self):
+        failures = {"strict": 0, "drifting": 0}
+        for trial in range(1000):
+            rng = rng_for(35, trial)
+            n = int(rng.integers(2, 6))
+            C = rng.normal(size=(n, n))
+            x, y = _random_strategy(rng, n), _random_strategy(rng, n)
+            for kind, thr in (("strict", TOL), ("drifting", -TOL)):
+                holds, eps = evaluate_relation(C, x, y, kind=kind)
+                ref_holds, ref_eps = grid_relation(C, x, y, kind)
+                assert holds == ref_holds, (trial, kind)
+                if holds:
+                    continue
+                failures[kind] += 1
+                # the crossing lies within the grid step before its fail
+                assert ref_eps - GRID[1] - 1e-9 <= eps <= ref_eps + 1e-9
+                if eps > 0.0:
+                    diff = (x - y) @ (C @ (eps * y + (1.0 - eps) * x))
+                    assert diff == pytest.approx(thr, abs=1e-9)
+        assert all(0 < f < 1000 for f in failures.values()), failures
 
 
 class TestCheckStability:
@@ -177,3 +231,19 @@ class TestDriftingMaximality:
         rng = rng_for(34)
         C, star = dominant_column_game(rng, 4)
         assert drifting_maximality_falsifier(C, np.eye(4)[star]).confirmed
+
+    def test_endpoints_agree_with_grid_scan(self):
+        falsified = 0
+        for trial in range(200):
+            rng = rng_for(36, trial)
+            n = int(rng.integers(2, 6))
+            C = rng.normal(size=(n, n))
+            x_star = _random_strategy(rng, n)
+            budget = SampleBudget(simplex_samples=20, seed=trial)
+            verdict = drifting_maximality_falsifier(C, x_star, budget)
+            witness = grid_falsifier(C, x_star, budget)
+            assert verdict.confirmed == (witness is None), trial
+            if witness is not None:
+                falsified += 1
+                assert np.array_equal(verdict.witness, witness)
+        assert 0 < falsified < 200
