@@ -7,8 +7,8 @@
     deploylab experiment --experiment NAME [--trials T] [--dimension D] ...
 
 Exit codes: 0 success, 1 a solver or experiment missed its target, 2
-configuration or input error.  --workers must be at least 1.  A game
-too large to analyse exits 2 before any file is written.
+configuration or input error.  A game too large to analyse exits 2
+before any file is written.  Everything runs in one process.
 
 solve reads --eps (default 0.05) only with --method hedge.  mechanism
 takes --premium and --surplus only with --type insurance, and --penalty
@@ -176,8 +176,7 @@ def _cmd_experiment(args):
     config = expmod.ExperimentConfig(
         experiment=args.experiment, trials=args.trials,
         dimension=args.dimension, eps=args.eps, seed=args.seed,
-        max_iters=args.max_iters, out_dir=args.out or ".",
-        workers=args.workers)
+        max_iters=args.max_iters, out_dir=args.out or ".")
     formats = tuple(args.format.split(","))
     expmod.check_report_formats(formats)
     report = expmod.run_experiment(config)
@@ -234,7 +233,6 @@ def build_parser():
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=10**6)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)

@@ -1,15 +1,15 @@
 """Batch experiment harness: random game generation, the named
 experiments, and deterministic report emission (JSON/CSV/SVG).
 
-Per-trial randomness is derived from (config.seed, trial_index), so any
-trial reproduces in isolation.  Reports are byte-deterministic for a
+Per-trial randomness is derived from (config.seed, trial_index), so a
+trial's record does not depend on the trials run beside it, even where
+they run as one batch of orbits.  Reports are byte-deterministic for a
 given config: no record holds a wall-clock time.
 """
 
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -45,7 +45,6 @@ class ExperimentConfig:
     seed: int = 0
     max_iters: int = 10**6
     out_dir: str = "."
-    workers: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -64,8 +63,6 @@ class ExperimentConfig:
         if self.dimension < low:
             raise ValueError("dimension must be at least %d for %s"
                              % (low, self.experiment))
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -150,20 +147,19 @@ def _trial_random_symmetric(config, t):
             "iterations": res["iterations"], "achieved_eps": res["gap"]}
 
 
-def _trial_rps_repulsion(config, t):
+def _rps_repulsion(config):
+    """All trials' orbits as the columns of one batch per rate."""
     C0, _, _ = rescale_to_unit(RPS)
-    uniform = np.ones(3) / 3
-    rng = np.random.default_rng([config.seed, t])
-    x0 = rng.dirichlet(np.ones(3))
-    ok = True
+    x0 = np.column_stack([np.random.default_rng([config.seed, t]).dirichlet(
+        np.ones(3)) for t in range(config.trials)])
+    ok = np.ones(config.trials, dtype=bool)
     for alpha in (0.1, 0.5, 1.0):
         trace = run_hedge(C0, x0, LearningRateSchedule(alpha, 0.0),
-                          max_iters=2000, reference=uniform)
-        re_seq = trace.re_to_reference
-        if any(b <= a for a, b in zip(re_seq, re_seq[1:])):
-            ok = False
-    return {"trial": t, "seed": [config.seed, t], "outcome": ok,
-            "iterations": 2000, "achieved_eps": None}
+                          max_iters=2000, reference=np.ones(3) / 3)
+        ok &= (np.diff(trace.re_to_reference, axis=0) > 0).all(axis=0)
+    return [{"trial": t, "seed": [config.seed, t], "outcome": bool(ok[t]),
+             "iterations": 2000, "achieved_eps": None}
+            for t in range(config.trials)]
 
 
 def _trial_gkt_roundtrip(config, t):
@@ -221,27 +217,19 @@ def _trial_mechanism(config, t):
 
 _TRIALS = {
     "random-symmetric-hedge": _trial_random_symmetric,
-    "rps-repulsion": _trial_rps_repulsion,
     "gkt-roundtrip": _trial_gkt_roundtrip,
     "stag-hunt-suite": _trial_stag_hunt,
     "mechanism-suite": _trial_mechanism,
 }
 
 
-def _run_one(args):
-    config, t = args
-    return _TRIALS[config.experiment](config, t)
-
-
 def run_experiment(config):
     """Execute the configured experiment; failures carry their seeds."""
-    jobs = [(config, t) for t in range(config.trials)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_run_one, jobs))
+    if config.experiment == "rps-repulsion":
+        records = _rps_repulsion(config)
     else:
-        records = [_run_one(j) for j in jobs]
-    records.sort(key=lambda r: r["trial"])
+        trial = _TRIALS[config.experiment]
+        records = [trial(config, t) for t in range(config.trials)]
     successes = sum(1 for r in records if r["outcome"])
     return ExperimentReport(asdict(config), records, successes)
 

@@ -62,20 +62,22 @@ def hedge_step(C, x, alpha):
 
 
 def _hedge_map(x, p, alpha):
-    """x(i) exp{alpha p_i}, normalized, for the payoff vector p = Cx."""
+    """x(i) exp{alpha p_i}, normalized, for p = Cx; column by column."""
     z = alpha * p
-    w = x * np.exp(z - z.max())
-    return w / w.sum()
+    w = x * np.exp(z - z.max(0))
+    return w / w.sum(0)
 
 
 def relative_entropy(p, q):
-    """RE(P, Q) = sum over the carrier of P of P(i) ln(P(i)/Q(i))."""
+    """RE(P, Q) = sum over the carrier of P of P(i) ln(P(i)/Q(i)); for
+    an (n, B) batch q, the length-B array of RE(P, column)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     mask = p > 0
     if (q[mask] <= 0).any():
         raise ValueError("carrier of p is not contained in carrier of q")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    re = np.sum(p[mask] * np.log(p[mask] / q[mask].T), axis=-1)
+    return float(re) if q.ndim == 1 else re
 
 
 def is_fixed_point(C, x):
@@ -99,7 +101,9 @@ class HedgeTrace:
     'fixed-point': the computed map returned the final iterate
     unchanged, T(x) == x.  re_to_reference holds RE(reference, x) for
     each iterate visited: one per iterate in the sum, plus the final
-    one at a 'max-iters' stop; it is empty without a reference.
+    one at a 'max-iters' stop; it is empty without a reference.  For a
+    batch, final and iterate_sum are (n, B), one orbit per column, each
+    RE is a length-B array, and count and stop_reason are shared.
     """
 
     final: np.ndarray
@@ -118,22 +122,31 @@ def run_hedge(C, x0, schedule, max_iters=10**6, *, reference=None,
     orbit that only moves slowly, such as one escaping towards a best
     response of tiny weight, is not a fixed point and keeps running.  k0
     offsets the schedule index so a run can be continued in segments.
+
+    x0 is a start (n,) or a batch (n, B) of starts, one per column, all
+    checked before any iteration and run in lockstep; a batch stops on
+    a fixed point or on stop_re only once every column does.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     C = np.asarray(C, dtype=float)
-    x = validate_mixed(x0)
-    if not is_interior(x):
-        raise ValueError("Hedge must start in the relative interior "
-                         "(the boundary is invariant)")
-    payoff_vector(C, x)  # raises unless C is len(x) x len(x)
+    x = np.asarray(x0, dtype=float)
+    if x.ndim not in (1, 2) or not x.shape[-1]:
+        raise ValueError("Hedge starts from a vector or an (n, B) batch "
+                         "of column vectors")
+    for col in (x.T if x.ndim == 2 else [x]):
+        validate_mixed(col)
+        if not is_interior(col):
+            raise ValueError("Hedge must start in the relative interior "
+                             "(the boundary is invariant)")
+        payoff_vector(C, col)  # raises unless C is len(x) x len(x)
     total = np.zeros_like(x)
     res = []
     for k in range(k0, k0 + max_iters):
         total += x
         if reference is not None:
             res.append(relative_entropy(reference, x))
-            if stop_re is not None and res[-1] < stop_re:
+            if stop_re is not None and np.all(res[-1] < stop_re):
                 return HedgeTrace(x, total, k - k0 + 1, "converged", res)
         x_next = _hedge_map(x, C @ x, schedule.rate(k))
         if (x_next == x).all():

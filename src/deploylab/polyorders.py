@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import is_approx_equilibrium, payoff_vector
+from .games import is_approx_equilibrium, payoff_vector, validate_mixed
 
 STRICT_TOL = 1e-10
 
@@ -71,8 +71,8 @@ def evaluate_relation(C, x, y, kind="strict"):
     0.0 when e = 0 already fails, else the e at which the affine
     difference meets the threshold.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = validate_mixed(x)
+    y = validate_mixed(y)
     if kind not in ("strict", "drifting"):
         raise ValueError("kind must be strict or drifting")
     thr = STRICT_TOL if kind == "strict" else -STRICT_TOL
@@ -149,7 +149,7 @@ def check_stability(C, x_star, concept, budget=None,
     """
     if concept not in LOCAL_CONCEPTS + GLOBAL_CONCEPTS:
         raise ValueError("unknown stability concept %r" % (concept,))
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = validate_mixed(x_star)
     n = len(x_star)
     if budget is None:
         budget = SampleBudget()
@@ -207,7 +207,7 @@ def check_variational(C, x_star, kind, budget=None):
                                         detail={"pair": (x, y), "value": val})
         return StabilityVerdict("confirmed-on-samples", samples_used=used)
 
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = validate_mixed(x_star)
     n = len(x_star)
     f_star = payoff_vector(C, x_star) if kind == "critical" else None
     used = 0
@@ -230,7 +230,7 @@ def drifting_maximality_falsifier(C, x_star, budget=None):
     holds (x* - X).C Z at the segment's ends Z = x* and Z = X, which
     bound the difference on the whole segment.
     """
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = validate_mixed(x_star)
     n = len(x_star)
     if budget is None:
         budget = SampleBudget()

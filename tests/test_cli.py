@@ -377,8 +377,6 @@ class TestExperiment:
     @pytest.mark.parametrize("experiment, flag, field", [
         ("stag-hunt-suite", "--dimension=1", "dimension"),
         ("random-symmetric-hedge", "--dimension=0", "dimension"),
-        ("mechanism-suite", "--workers=-3", "workers"),
-        ("mechanism-suite", "--workers=0", "workers"),
         ("mechanism-suite", "--seed=-1", "seed"),
         ("random-symmetric-hedge", "--eps=nan", "eps"),
     ])
@@ -389,6 +387,15 @@ class TestExperiment:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: %s must be " % field)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        # every experiment runs in this process; the flag is unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--experiment", "mechanism-suite",
+                  "--trials", "1", "--workers", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unread_flags_exit_two(self, tmp_path, capsys):

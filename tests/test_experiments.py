@@ -120,11 +120,13 @@ class TestRunExperiment:
         assert report.successes == 5
         assert [r["trial"] for r in report.records] == list(range(5))
 
-    def test_worker_parity(self):
-        base = dict(experiment="mechanism-suite", trials=4, seed=3)
-        serial = run_experiment(ExperimentConfig(**base))
-        parallel = run_experiment(ExperimentConfig(**base, workers=2))
-        assert serial.records == parallel.records
+    def test_rps_repulsion_records_do_not_depend_on_batch_size(self):
+        # all trials run as one batch of orbits; a trial's record is the
+        # same whether 3 or 10 trials run beside it
+        few, many = (run_experiment(ExperimentConfig(
+            experiment="rps-repulsion", trials=trials, seed=6)).records
+            for trials in (3, 10))
+        assert few == many[:3]
 
     def test_max_iters_bounds_gkt_roundtrip(self):
         config = ExperimentConfig(experiment="gkt-roundtrip", trials=2,

@@ -277,6 +277,101 @@ class TestRunHedge:
         assert np.allclose(second.final, whole.final, atol=1e-12)
 
 
+class TestBatch:
+    """run_hedge on an (n, B) start: one orbit per column, in lockstep."""
+
+    def _starts(self, n, B, salt):
+        return np.column_stack([rng_for(26, salt, b).dirichlet(np.ones(n))
+                                for b in range(B)])
+
+    def test_columns_match_single_runs(self, rps):
+        # a matrix product may round differently from B matrix-vector
+        # products, so columns agree to 1e-12, not bit for bit
+        C0, _, _ = rescale_to_unit(rps)
+        uniform = np.ones(3) / 3
+        x0 = self._starts(3, 5, 0)
+        sched = LearningRateSchedule(0.5, 0.5)
+        batch = run_hedge(C0, x0, sched, max_iters=500, reference=uniform,
+                          k0=3)
+        assert batch.final.shape == batch.iterate_sum.shape == (3, 5)
+        assert batch.count == 500 and batch.stop_reason == "max-iters"
+        res = np.array(batch.re_to_reference)
+        assert res.shape == (501, 5)
+        for b in range(5):
+            one = run_hedge(C0, x0[:, b], sched, max_iters=500,
+                            reference=uniform, k0=3)
+            assert np.allclose(batch.final[:, b], one.final,
+                               rtol=0, atol=1e-12)
+            assert np.allclose(batch.iterate_sum[:, b], one.iterate_sum,
+                               rtol=0, atol=1e-12)
+            assert np.allclose(res[:, b], one.re_to_reference,
+                               rtol=0, atol=1e-12)
+            assert np.allclose(average_iterates(batch)[:, b],
+                               average_iterates(one), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", ["boundary", "nan", "length", "3-d",
+                                     "empty"])
+    def test_bad_column_raises_before_any_iteration(self, bad, rps,
+                                                    monkeypatch):
+        steps = []
+        monkeypatch.setattr(hedge, "_hedge_map",
+                            lambda *args: steps.append(args))
+        x0 = self._starts(3, 4, 1)
+        if bad == "boundary":
+            x0[:, 2] = [0.5, 0.5, 0.0]
+        elif bad == "nan":
+            x0[1, 3] = np.nan
+        elif bad == "length":
+            x0 = self._starts(4, 4, 1)
+        elif bad == "3-d":
+            x0 = x0[:, :, None]
+        else:
+            x0 = x0[:, :0]
+        with pytest.raises(ValueError):
+            run_hedge(rps, x0, LearningRateSchedule(0.5, 0.0), max_iters=10)
+        assert steps == []
+
+    def test_stops_are_shared_by_the_batch(self, rps):
+        # the uniform column is a fixed point of rock-paper-scissors, but
+        # the batch stops only when every column's step is unchanged
+        x0 = np.column_stack([np.ones(3) / 3, [0.5, 0.3, 0.2]])
+        sched = LearningRateSchedule(0.5, 0.0)
+        trace = run_hedge(rps, x0, sched, max_iters=50)
+        assert trace.stop_reason == "max-iters" and trace.count == 50
+        assert (trace.final[:, 0] == 1.0 / 3.0).all()
+        both = run_hedge(rps, np.column_stack([np.ones(3) / 3] * 2), sched,
+                         max_iters=50)
+        assert both.stop_reason == "fixed-point" and both.count == 1
+        # stop_re holds once every column's RE is below it; a start far
+        # from the dominant vertex takes longer than the uniform one
+        C, star = dominant_column_game(rng_for(19), 4)
+        ref = np.eye(4)[star]
+        far = np.full(4, 0.999 / 3)
+        far[star] = 1e-3
+        x0 = np.column_stack([np.ones(4) / 4, far])
+        sched = LearningRateSchedule(10.0, 1.0)
+        batch = run_hedge(C, x0, sched, max_iters=10**5, reference=ref,
+                          stop_re=1e-4)
+        counts = [run_hedge(C, x0[:, b], sched, max_iters=10**5,
+                            reference=ref, stop_re=1e-4).count
+                  for b in range(2)]
+        assert batch.stop_reason == "converged"
+        assert counts[0] < counts[1] == batch.count
+        assert (relative_entropy(ref, batch.final) < 1e-4).all()
+
+    def test_relative_entropy_of_columns(self):
+        rng = rng_for(27)
+        p = np.array([0.5, 0.0, 0.3, 0.2])
+        Q = np.column_stack([random_simplex(rng, 4) for _ in range(6)])
+        res = relative_entropy(p, Q)
+        assert res.shape == (6,)
+        assert np.allclose(res, [relative_entropy(p, q) for q in Q.T],
+                           rtol=0, atol=1e-15)
+        Q[2, 4] = 0.0
+        with pytest.raises(ValueError, match="carrier"):
+            relative_entropy(p, Q)
+
+
 def _plan(monkeypatch, orbits, segment):
     """Swap the restart plan's orbits and segment; hedge_candidates then
     takes per_orbit * _RESTARTS as the budget for per_orbit iterations

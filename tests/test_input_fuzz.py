@@ -195,17 +195,16 @@ def test_mechanism_arguments_exit_with_a_code(case):
         assert code == 2
 
 
-# the flags each experiment reads besides --trials, --seed and --workers
+# the flags each experiment reads besides --trials and --seed
 READS = {"random-symmetric-hedge": ("dimension", "eps", "max_iters"),
          "gkt-roundtrip": ("dimension", "eps", "max_iters"),
          "stag-hunt-suite": ("dimension",),
          "rps-repulsion": (), "mechanism-suite": ()}
-# trials <= 2, max-iters <= 2000 and workers <= 1 keep each run small and
-# in this process
+# trials <= 2 and max-iters <= 2000 keep each run small
 EXPERIMENT_EDGES = {
     "trials": st.integers(-1, 2), "dimension": st.integers(-1, 6),
     "eps": ARG_FLOATS, "seed": st.integers(-2, 10**6),
-    "max_iters": st.integers(-5, 2000), "workers": st.integers(-3, 1)}
+    "max_iters": st.integers(-5, 2000)}
 
 
 @st.composite
@@ -217,25 +216,21 @@ def experiment_args(draw):
              "dimension": draw(st.integers(2, 6)),
              "eps": draw(st.floats(1e-4, 0.2)),
              "seed": draw(st.integers(0, 100)),
-             "max_iters": draw(st.integers(10, 2000)), "workers": 1}
+             "max_iters": draw(st.integers(10, 2000))}
     valid = {k: v for k, v in valid.items()
-             if k in ("trials", "seed", "workers") + READS[experiment]}
+             if k in ("trials", "seed") + READS[experiment]}
     edges = {k: v for k, v in EXPERIMENT_EDGES.items() if k in valid}
     return experiment, _break_some(draw, valid, edges)
 
 
 @given(experiment_args())
 # a NaN eps once read as a solver miss; a dimension below the minimum
-# or a negative worker count once passed validation
+# once passed validation
 @example(("random-symmetric-hedge", {
-    "trials": 1, "dimension": 3, "eps": NAN, "seed": 0, "max_iters": 100,
-    "workers": 1}))
-@example(("stag-hunt-suite", {
-    "trials": 1, "dimension": 1, "seed": 0, "workers": 1}))
+    "trials": 1, "dimension": 3, "eps": NAN, "seed": 0, "max_iters": 100}))
+@example(("stag-hunt-suite", {"trials": 1, "dimension": 1, "seed": 0}))
 @example(("random-symmetric-hedge", {
-    "trials": 1, "dimension": 0, "eps": 1e-3, "seed": 0, "max_iters": 100,
-    "workers": 1}))
-@example(("mechanism-suite", {"trials": 1, "seed": 0, "workers": -3}))
+    "trials": 1, "dimension": 0, "eps": 1e-3, "seed": 0, "max_iters": 100}))
 # flags the experiment does not read were once accepted
 @example(("mechanism-suite", {
     "trials": 1, "max_iters": -5, "dimension": 99, "eps": 5.0}))
@@ -247,5 +242,5 @@ def test_experiment_arguments_exit_with_a_code(case):
     argv += ["--%s=%r" % (k.replace("_", "-"), v) for k, v in args.items()]
     code, message = _run_cli(argv)
     _check_exit(code, message, not math.isfinite(args.get("eps", 0.0)))
-    if set(args) - {"trials", "seed", "workers"} - set(READS[experiment]):
+    if set(args) - {"trials", "seed"} - set(READS[experiment]):
         assert code == 2

@@ -247,3 +247,19 @@ class TestDriftingMaximality:
                 falsified += 1
                 assert np.array_equal(verdict.witness, witness)
         assert 0 < falsified < 200
+
+
+class TestRejectsNonStrategies:
+    """A vector off the simplex raises instead of getting a verdict."""
+
+    @pytest.mark.parametrize("call", [
+        lambda C: check_stability(C, [np.nan, np.nan], "GNSS"),
+        lambda C: drifting_maximality_falsifier(C, [3.0, -2.0]),
+        lambda C: evaluate_relation(C, [2.0, -1.0], [0.5, 0.5], "drifting"),
+        lambda C: evaluate_relation(C, [0.5, 0.5], [2.0, -1.0], "drifting"),
+        lambda C: check_variational(C, [2.0, -1.0], "critical"),
+    ], ids=["stability-nan", "falsifier-negative", "relation-x",
+            "relation-y", "variational-critical"])
+    def test_raises(self, call):
+        with pytest.raises(ValueError, match="mixed strategy"):
+            call(np.eye(2))
