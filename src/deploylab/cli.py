@@ -13,11 +13,9 @@ before any file is written.  Everything runs in one process.
 solve reads --eps (default 0.05) only with --method hedge.  mechanism
 takes --premium and --surplus only with --type insurance, and --penalty
 only with --type election.  experiment rejects a flag the chosen
-experiment does not read: rps-repulsion and mechanism-suite read
-none of --dimension, --eps and --max-iters, and stag-hunt-suite reads
-only --dimension of them.  Two experiments cap --dimension silently:
-gkt-roundtrip plays min(D, 3) x min(D, 3) games, and stag-hunt-suite
-draws its player count from 2..min(D, 4).
+experiment does not read: rps-repulsion and mechanism-suite read none of
+--dimension, --eps and --max-iters, and stag-hunt-suite (2..D players)
+reads only --dimension of them; gkt-roundtrip plays D x D games.
 """
 
 import argparse

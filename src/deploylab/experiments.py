@@ -3,7 +3,7 @@ experiments, and deterministic report emission (JSON/CSV/SVG).
 
 Per-trial randomness is derived from (config.seed, trial_index), so a
 trial's record does not depend on the trials run beside it, even where
-they run as one batch of orbits.  Reports are byte-deterministic for a
+they share a batch of orbits.  Reports are byte-deterministic for a
 given config: no record holds a wall-clock time.
 """
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .games import BimatrixGame, is_approx_equilibrium
-from .graphs import analyze
+from .games import BimatrixGame, StrategicGame, is_approx_equilibrium
+from .graphs import DEFAULT_ARC_CAP, analyze
 from .hedge import (LearningRateSchedule, hedge_candidates, rescale_to_unit,
                     run_hedge)
 from .mechanisms import (A, D, X, Y, InsuranceParams, StagHuntSpec,
@@ -27,6 +27,9 @@ EXPERIMENTS = ("random-symmetric-hedge", "rps-repulsion", "gkt-roundtrip",
                "stag-hunt-suite", "mechanism-suite")
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_RPS_BATCH = 512  # orbits per run_hedge call: rps-repulsion's memory bound
+# n << n arc slots per n-player stag hunt; checked before its table is built
+_MOST_PLAYERS = max(n for n in range(64) if n << n <= DEFAULT_ARC_CAP)
 
 # the config fields an experiment never reads; setting one is an error
 _UNREAD = {
@@ -63,6 +66,9 @@ class ExperimentConfig:
         if self.dimension < low:
             raise ValueError("dimension must be at least %d for %s"
                              % (low, self.experiment))
+        if low == 2 and self.dimension > _MOST_PLAYERS:
+            raise ValueError("dimension must be at most %d for %s (arc cap)"
+                             % (_MOST_PLAYERS, self.experiment))
 
 
 @dataclass
@@ -89,21 +95,18 @@ def gen_random_game(kind, dims, seed):
     """
     rng = np.random.default_rng(seed)
     if kind == "symmetric":
-        C = rng.random((dims, dims))
-        return BimatrixGame.symmetric(C)
+        return BimatrixGame.symmetric(rng.random((dims, dims)))
     if kind == "bimatrix":
         return BimatrixGame(rng.random((dims, dims)),
                             rng.random((dims, dims)))
     if kind == "stag-hunt":
-        n = dims
         c = float(rng.uniform(0.0, 1.0))
-        lows = int(rng.integers(1, n))  # at least one entry on each side of c
+        lows = int(rng.integers(1, dims))  # an entry on each side of c
         below = c - rng.uniform(0.05, 1.0, size=lows)
-        above = c + rng.uniform(0.05, 1.0, size=n - lows)
+        above = c + rng.uniform(0.05, 1.0, size=dims - lows)
         benefit = tuple(sorted(np.concatenate([below, above])))
-        return StagHuntSpec(n, benefit, c)
+        return StagHuntSpec(dims, benefit, c)
     if kind == "strategic":
-        from .games import StrategicGame
         counts = tuple(dims)
         table = rng.random(counts + (len(counts),))
         return StrategicGame(counts, table)
@@ -113,15 +116,10 @@ def gen_random_game(kind, dims, seed):
 def hedge_symmetric_solve(C, eps, max_iters=10**6, seed=0):
     """Approximate symmetric equilibrium of (C, C^T) by Hedge.
 
-    Runs the restart plan of hedge_candidates (ten restarts, the first
-    from the uniform point and the rest from draws seeded by seed, each
-    with max_iters // 10 iterations; a budget below 10 raises
-    ValueError) and checks its candidates in turn against the
-    equilibrium gap max(Cx) - x.Cx <= eps; 'candidate' names the kind
-    that passed and 'restarts' the restarts begun.  The support
-    enumeration runs only when the Hedge and polish kinds of the first
-    checkpoint all fail.  An eps that is not positive and finite raises
-    ValueError.
+    Checks the candidates of hedge_candidates(C, max_iters, seed) in
+    turn against the equilibrium gap max(Cx) - x.Cx <= eps; 'candidate'
+    names the kind that passed and 'restarts' the restarts begun.  An
+    eps that is not positive and finite raises ValueError.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
@@ -139,32 +137,32 @@ def _trial_random_symmetric(config, t):
     C = gen_random_game("symmetric", config.dimension, [config.seed, t]).A
     res = hedge_symmetric_solve(C, config.eps, max_iters=config.max_iters,
                                 seed=config.seed * 1000003 + t)
-    ok = res["success"]
-    if ok:
-        ok = is_approx_equilibrium(C, res["strategy"], config.eps,
-                                   "symmetric")
+    ok = res["success"] and is_approx_equilibrium(
+        C, res["strategy"], config.eps, "symmetric")
     return {"trial": t, "seed": [config.seed, t], "outcome": bool(ok),
             "iterations": res["iterations"], "achieved_eps": res["gap"]}
 
 
 def _rps_repulsion(config):
-    """All trials' orbits as the columns of one batch per rate."""
+    """Each rate's orbits as columns of batches of at most _RPS_BATCH."""
     C0, _, _ = rescale_to_unit(RPS)
     x0 = np.column_stack([np.random.default_rng([config.seed, t]).dirichlet(
         np.ones(3)) for t in range(config.trials)])
     ok = np.ones(config.trials, dtype=bool)
-    for alpha in (0.1, 0.5, 1.0):
-        trace = run_hedge(C0, x0, LearningRateSchedule(alpha, 0.0),
-                          max_iters=2000, reference=np.ones(3) / 3)
-        ok &= (np.diff(trace.re_to_reference, axis=0) > 0).all(axis=0)
+    for lo in range(0, config.trials, _RPS_BATCH):
+        for alpha in (0.1, 0.5, 1.0):
+            trace = run_hedge(C0, x0[:, lo:lo + _RPS_BATCH],
+                              LearningRateSchedule(alpha, 0.0),
+                              max_iters=2000, reference=np.ones(3) / 3)
+            ok[lo:lo + _RPS_BATCH] &= (np.diff(
+                trace.re_to_reference, axis=0) > 0).all(axis=0)
     return [{"trial": t, "seed": [config.seed, t], "outcome": bool(ok[t]),
              "iterations": 2000, "achieved_eps": None}
             for t in range(config.trials)]
 
 
 def _trial_gkt_roundtrip(config, t):
-    game = gen_random_game("bimatrix", min(config.dimension, 3),
-                           [config.seed, t])
+    game = gen_random_game("bimatrix", config.dimension, [config.seed, t])
     res = solve_bimatrix_via_hedge(game, config.eps,
                                    max_iters=config.max_iters)
     ok = res["success"] and is_approx_equilibrium(
@@ -180,10 +178,9 @@ def _trial_gkt_roundtrip(config, t):
 
 def _trial_stag_hunt(config, t):
     rng = np.random.default_rng([config.seed, t])
-    n = int(rng.integers(2, min(config.dimension, 4) + 1))
+    n = int(rng.integers(2, config.dimension + 1))
     spec = gen_random_game("stag-hunt", n, [config.seed, t, 1])
-    game = build_stag_hunt(spec)
-    ok = analyze(game)["flags"]["weakly_acyclic"]
+    ok = analyze(build_stag_hunt(spec))["flags"]["weakly_acyclic"]
     return {"trial": t, "seed": [config.seed, t], "outcome": bool(ok),
             "iterations": 0, "achieved_eps": None}
 

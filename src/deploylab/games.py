@@ -2,7 +2,7 @@
 
 Strategies are numpy probability vectors on a finite pure-strategy set.
 A symmetric game's payoffs are an n x n matrix C: the payoff vector at
-a mixed strategy x is Cx.
+a mixed strategy x is Cx.  Every support enumeration follows ranked_supports.
 """
 
 import itertools
@@ -145,46 +145,54 @@ def _equalization_system(M, support_rows, support_cols):
     return eqs, rhs
 
 
+def ranked_supports(blocks):
+    """Per-block k-tuples, k = 1, 2, ..., in combinations order per block,
+    the first block slowest: small supports first (Porter et al., 2008).
+    The first block's combinations are drawn lazily, the others listed."""
+    for k in range(1, min(map(len, blocks)) + 1):
+        tails = list(itertools.product(
+            *(itertools.combinations(b, k) for b in blocks[1:])))
+        yield from ((head,) + tail for head in itertools.combinations(
+            blocks[0], k) for tail in tails)
+
+
 def support_enumeration_equilibria(game):
     """All Nash equilibria of a small bimatrix game, by support enumeration.
 
-    Solves the payoff-equalization linear system for every equal-size
-    support pair and keeps solutions that pass is_approx_equilibrium.
-    Singular systems (degenerate supports) are skipped with a debug
-    diagnostic; equilibrium continua of degenerate games are therefore
-    not enumerated.
+    Solves the payoff-equalization system of every equal-size support
+    pair in ranked_supports order and keeps the solutions that pass
+    is_approx_equilibrium.  Singular systems (degenerate supports) are
+    skipped with a debug diagnostic, so continua are not enumerated.
     """
     m, n = game.shape
     found = []
-    for k in range(1, min(m, n) + 1):
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(n), k):
-                # q equalizes the row payoffs A, p equalizes the columns B
-                eqs_q, rhs = _equalization_system(game.A, rows, cols)
-                eqs_p, _ = _equalization_system(game.B.T, cols, rows)
-                try:
-                    sol_q = np.linalg.solve(eqs_q, rhs)
-                    sol_p = np.linalg.solve(eqs_p, rhs)
-                except np.linalg.LinAlgError:
-                    log.debug("singular support pair %s/%s skipped", rows, cols)
-                    continue
-                if (sol_q[:k] < -DEFAULT_TOL).any() or \
-                        (sol_p[:k] < -DEFAULT_TOL).any():
-                    continue
-                q = np.zeros(n)
-                q[list(cols)] = np.clip(sol_q[:k], 0.0, None)
-                p = np.zeros(m)
-                p[list(rows)] = np.clip(sol_p[:k], 0.0, None)
-                if q.sum() <= 0 or p.sum() <= 0:
-                    continue
-                q /= q.sum()
-                p /= p.sum()
-                if not is_approx_equilibrium(game, (p, q)):
-                    continue
-                if any(np.allclose(p, p2, atol=1e-8) and np.allclose(q, q2, atol=1e-8)
-                       for p2, q2 in found):
-                    continue
-                found.append((p, q))
+    for rows, cols in ranked_supports((range(m), range(n))):
+        k = len(rows)
+        # q equalizes the row payoffs A, p equalizes the columns B
+        eqs_q, rhs = _equalization_system(game.A, rows, cols)
+        eqs_p, _ = _equalization_system(game.B.T, cols, rows)
+        try:
+            sol_q = np.linalg.solve(eqs_q, rhs)
+            sol_p = np.linalg.solve(eqs_p, rhs)
+        except np.linalg.LinAlgError:
+            log.debug("singular support pair %s/%s skipped", rows, cols)
+            continue
+        if (sol_q[:k] < -DEFAULT_TOL).any() or \
+                (sol_p[:k] < -DEFAULT_TOL).any():
+            continue
+        q = np.zeros(n)
+        q[list(cols)] = np.clip(sol_q[:k], 0.0, None)
+        p = np.zeros(m)
+        p[list(rows)] = np.clip(sol_p[:k], 0.0, None)
+        if q.sum() <= 0 or p.sum() <= 0:
+            continue
+        q /= q.sum()
+        p /= p.sum()
+        if not is_approx_equilibrium(game, (p, q)):
+            continue
+        if not any(np.allclose(p, p2, atol=1e-8) and
+                   np.allclose(q, q2, atol=1e-8) for p2, q2 in found):
+            found.append((p, q))
     return found
 
 

@@ -1,12 +1,12 @@
 """Deployment graphs over pure profiles and their maximality analysis.
 
-Arcs are unilateral deviations: strictly profitable ones in the strict
-graph, not-harmful ones in the ordinal graph (zero-gain deviations give
-paired neutral arcs).  Sink components of the condensation are the
-weakly/strongly maximal states.  Pure Nash equilibria are read off the
-same graphs, Nash derived from deployability: a profile is an
-equilibrium exactly when it has no strict-graph arc, and a strict one
-when it has no ordinal-graph arc either.
+Arcs are unilateral deviations, payoffs compared exactly: strictly
+profitable ones in the strict graph, not-harmful ones in the ordinal
+graph (zero-gain deviations give paired neutral arcs).  Sink components
+of the condensation are the weakly/strongly maximal states.  Pure Nash
+equilibria are read off the same graphs, Nash derived from
+deployability: a profile is an equilibrium exactly when it has no
+strict-graph arc, and a strict one when it has no ordinal-graph arc either.
 
 analyze(game) is the API: it builds and condenses each graph once and
 returns every result.  pure_nash, classify_acyclicity and
@@ -46,11 +46,11 @@ class MaximalAnalysis:
     classes: list
 
 
-def build_graph(game, kind="strict", tie_tol=0.0):
+def build_graph(game, kind="strict"):
     """Deployment graph of a strategic game.
 
-    Polarity is a discrete notion; integer payoff tables with the
-    default tie_tol=0 are recommended.  Each profile's arcs are listed
+    A deviation that gains is a positive arc, and in the ordinal graph
+    one that breaks even is a neutral one.  Each profile's arcs are listed
     by deviating player, then by the strategy deviated to.  A profile
     space needing more than DEFAULT_ARC_CAP arc slots raises ValueError
     before anything is built.
@@ -75,9 +75,8 @@ def build_graph(game, kind="strict", tie_tol=0.0):
             with np.errstate(over="ignore"):
                 gain = np.take(u, [t], axis=i) - u
             mask = own != t
-            positive = mask & (gain > tie_tol)
-            keep = positive | (mask & (gain >= -tie_tol)) \
-                if kind == "ordinal" else positive
+            positive = mask & (gain > 0)
+            keep = mask & (gain >= 0) if kind == "ordinal" else positive
             target = ids + (t - own) * stride
             for v, w, pos in zip(np.flatnonzero(keep).tolist(),
                                  target[keep].tolist(),
@@ -146,16 +145,15 @@ def condensation(graph):
     return Condensation(comp_of, components, dag_arcs, sinks)
 
 
-def analyze(game, tie_tol=0.0):
+def analyze(game):
     """The whole maximality analysis of a strategic game, in one pass.
 
     Builds and condenses the strict and the ordinal graph once each and
     reads the pure Nash equilibria off their arcs.  Returns a dict with
-    'pure_nash' (profile -> 'strict' or 'weak': no deviation gains more
-    than tie_tol, and a strict one has no deviation losing tie_tol or
-    less either), 'weak' and 'strong' (MaximalAnalysis of the strict and
-    the ordinal graph), 'flags', 'equilibrium_classes', 'potential' and
-    'condensation' (of the ordinal graph).
+    'pure_nash' (profile -> 'strict' or 'weak': no deviation gains, and
+    none of a strict one breaks even), 'weak' and 'strong' (MaximalAnalysis
+    of the strict and the ordinal graph), 'flags', 'equilibrium_classes',
+    'potential' and 'condensation' (of the ordinal graph).
 
     Flags: ordinally_acyclic: every intra-component arc of the ordinal
     graph is neutral (equivalent to admitting an ordinal potential).
@@ -173,8 +171,8 @@ def analyze(game, tie_tol=0.0):
     arcs pair up, so their endpoints share a component and a potential
     value; positive arcs always cross components forward.
     """
-    strict = build_graph(game, "strict", tie_tol)
-    ordinal = build_graph(game, "ordinal", tie_tol)
+    strict = build_graph(game, "strict")
+    ordinal = build_graph(game, "ordinal")
     out = {"pure_nash": {game.decode(v): "weak" if ordinal.arcs[v]
                          else "strict"
                          for v, arcs in enumerate(strict.arcs) if not arcs}}

@@ -6,9 +6,8 @@ with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
 hedge_candidates, the candidate engine and restart plan of both Hedge
 solvers: Hedge proposes candidates and ranks strategies, support_polish
-solves each candidate's leading supports exactly, and
-support_enumeration, run once per solve, solves supports smallest first
-in Hedge's rank order up to a fixed number of solves.
+solves each candidate's leading supports exactly, and support_enumeration
+solves ranked supports of the game's blocks once per solve, up to a cap.
 """
 
 import itertools
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (DEFAULT_TOL, _equalization_system, carrier, is_interior,
-                    payoff_vector, validate_mixed)
+                    payoff_vector, ranked_supports, validate_mixed)
 
 class LearningRateSchedule:
     """Learning rates a_k = c/(k+1)**exponent, exponent in [0, 1].
@@ -70,9 +69,11 @@ def _hedge_map(x, p, alpha):
 
 def relative_entropy(p, q):
     """RE(P, Q) = sum over the carrier of P of P(i) ln(P(i)/Q(i)); for
-    an (n, B) batch q, the length-B array of RE(P, column)."""
+    an (n, B) batch q, the length-B array of RE(P, column); p is a vector."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("p must be one distribution, a vector")
     mask = p > 0
     if (q[mask] <= 0).any():
         raise ValueError("carrier of p is not contained in carrier of q")
@@ -183,47 +184,47 @@ def _solve_support(C, S):
     return z, _gap(C, z)
 
 
-def support_polish(C, x):
-    """The best symmetric equalizer on the leading supports of x.
-
-    Sorts x's weights in descending order (stable) and, for r = 1..n,
-    solves C on the top-r support with _solve_support.  Returns (z, gap)
-    for the solution of smallest gap max(Cz) - z.Cz, or None.  Adding a
-    constant to a column of C adds the same amount to every payoff, so
-    it changes neither z nor its gap.
-    """
-    order = np.argsort(-x, kind="stable")
-    best = None
-    for r in range(1, len(x) + 1):
-        solved = _solve_support(C, order[:r])
-        if solved is not None and (best is None or solved[1] < best[1]):
-            best = solved
-    return best
-
-
-_ENUM_CAP = 4096
-
-
-def support_enumeration(C, x):
-    """Symmetric equalizers of C over all supports, smallest first.
-
-    Solves supports with _solve_support by size, and within one size in
-    itertools.combinations order over the strategies ranked by x's
-    weights, descending (stable): the small-supports-first order of
-    Porter, Nudelman & Shoham (GEB 63, 2008), with x's ranking as the
-    tie-break.  Yields (z, gap) each time the gap beats every earlier
-    one, and stops after _ENUM_CAP solves, which covers every support
-    for n <= 12.
-    """
-    order = np.argsort(-x, kind="stable")
-    supports = itertools.chain.from_iterable(
-        itertools.combinations(order, r) for r in range(1, len(x) + 1))
+def _improving_solves(C, supports):
+    """_solve_support on each support; yields each gap-improving (z, gap)."""
     best = np.inf
-    for S in itertools.islice(supports, _ENUM_CAP):
+    for S in supports:
         solved = _solve_support(C, S)
         if solved is not None and solved[1] < best:
             best = solved[1]
             yield solved
+
+
+def support_polish(C, x):
+    """The best symmetric equalizer on the leading supports of x.
+
+    Sorts x's weights in descending order (stable) and solves C on the
+    top-r support for r = 1..n.  Returns the first (z, gap) of smallest
+    gap max(Cz) - z.Cz, or None.  A constant added to a column of C
+    shifts every payoff alike, so it changes neither z nor its gap.
+    """
+    order = np.argsort(-x, kind="stable")
+    prefixes = (order[:r] for r in range(1, len(x) + 1))
+    return min(_improving_solves(C, prefixes), key=lambda s: s[1],
+               default=None)
+
+
+_ENUM_CAP = 8192
+
+
+def support_enumeration(C, x, blocks=None):
+    """Symmetric equalizers of C over ranked supports, smallest first.
+
+    A support joins games.ranked_supports of the blocks (by default one
+    of all strategies), each ranked by x's weights, descending (stable),
+    to every strategy in no block, such as a GKT game's last.  Yields each
+    gap-improving (z, gap); stops after _ENUM_CAP solves, enough for 13
+    strategies in one block, or for 8x8 games' 4x4 equilibria in two.
+    """
+    blocks = [range(len(x))] if blocks is None else blocks
+    ranked = [np.asarray(b)[np.argsort(-x[b], kind="stable")] for b in blocks]
+    rest = tuple(sorted(set(range(len(x))).difference(*blocks)))
+    supports = (sum(parts, ()) + rest for parts in ranked_supports(ranked))
+    return _improving_solves(C, itertools.islice(supports, _ENUM_CAP))
 
 
 _RESTARTS = 10
@@ -240,7 +241,7 @@ def _restart_orbits(n, seed):
             for r in range(_RESTARTS))
 
 
-def hedge_candidates(C, max_iters, seed=0):
+def hedge_candidates(C, max_iters, seed=0, blocks=None):
     """Candidate equilibria along the Hedge orbits of the restart plan.
 
     The plan is _RESTARTS orbits under _SCHEDULE, from the uniform point
@@ -255,7 +256,7 @@ def hedge_candidates(C, max_iters, seed=0):
     the support_polish of each; a polish is skipped when it finds no
     solution or a support the checkpoint already yielded.  At the
     solve's first checkpoint only, 'enum' follows: each improving
-    support_enumeration result, ranked by the current iterate.
+    support_enumeration(C, x, blocks) result, x the current iterate.
     iterations counts every iteration so far over all orbits; gap is
     max(Cx) - x.Cx.  The generator is lazy: a consumer that stops at a
     Hedge kind never pays for its polish, and one that stops at a Hedge
@@ -291,7 +292,7 @@ def hedge_candidates(C, max_iters, seed=0):
                     yielded.add(support)
                     yield (orbit, used, "polish-" + kind) + found
             if used == trace.count:  # the solve's first checkpoint
-                for found in support_enumeration(C, x):
+                for found in support_enumeration(C, x, blocks):
                     yield (orbit, used, "enum") + found
             if trace.stop_reason == "fixed-point":
                 break

@@ -216,20 +216,17 @@ def _verify_chain(orig, gkt_game, unit_game, gkt_bimatrix, pair_unit,
 def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     """Approximate equilibrium of a bimatrix game via GKT + Hedge.
 
-    Runs the restart plan of hedge_candidates with seed 0 on the
-    [0,1]-rescaled GKT game: ten restarts, the first from the uniform
-    point, each with max_iters // 10 iterations; a budget below 10
-    raises ValueError.  Its candidates are, at each checkpoint, the last
-    iterate, the orbit's mean and the support polish of each and, when
-    those fail at the first checkpoint, the support enumeration.  Each
-    candidate is purged once, to the budget's ws_on_unit level, and the
-    whole epsilon chain plus the final bimatrix predicate are
+    Checks the candidates of hedge_candidates with seed 0 on the
+    [0,1]-rescaled GKT game, in blocks of the game's rows and columns,
+    so the enumeration solves GKT supports R + S + (last,), |R| = |S|.
+    Each candidate is purged once, to the budget's ws_on_unit level, and
+    the whole epsilon chain plus the final bimatrix predicate are
     re-verified before a pair is returned; diagnostics['candidate']
     names the kind that passed and diagnostics['restarts'] the restarts
     begun.  On failure the diagnostics report the best gap achieved; no
-    pair is fabricated.  Every result, a 1x1 game's included, carries the GKT
-    game ('gkt') and the NormalizationRecord ('normalization') it was
-    built from; a 1x1 game runs no Hedge, so it needs no budget.
+    pair is fabricated.  Every result, a 1x1 game's included, carries
+    the GKT game ('gkt') and the NormalizationRecord ('normalization')
+    it was built from; a 1x1 game runs no Hedge, so it needs no budget.
     """
     norm_game, record = normalize_bimatrix(game)
     gkt_game = gkt_symmetrize(norm_game)
@@ -248,8 +245,9 @@ def solve_bimatrix_via_hedge(game, eps, max_iters=2 * 10**6):
     total_iters = 0
     best_gap = np.inf
     last = None
+    a, b = gkt_game.a, gkt_game.b
     for orbit, total_iters, kind, cand, gap in hedge_candidates(
-            C0, max_iters, seed=0):
+            C0, max_iters, seed=0, blocks=(range(a), range(a, a + b))):
         if kind == "last":
             last = cand
         best_gap = min(best_gap, gap)

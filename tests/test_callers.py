@@ -33,7 +33,6 @@ ALLOWED = {
 
 # optional parameters that no caller sets but stay, each with its reason
 _POLYORDERS = "polyorders API that exact linear verdicts extend"
-_TIES = "how graphs compare float payoffs is its own open question"
 ALLOWED_PARAMS = {
     "evaluate_relation.kind": _POLYORDERS,
     "check_stability.budget": _POLYORDERS,
@@ -43,8 +42,6 @@ ALLOWED_PARAMS = {
     "SampleBudget.seed": "the budget that polyorders' budget parameters take",
     "SampleBudget.simplex_samples":
         "the budget that polyorders' budget parameters take",
-    "analyze.tie_tol": _TIES,
-    "build_graph.tie_tol": _TIES,
 }
 
 

@@ -376,6 +376,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("experiment, flag, field", [
         ("stag-hunt-suite", "--dimension=1", "dimension"),
+        ("stag-hunt-suite", "--dimension=17", "dimension"),
         ("random-symmetric-hedge", "--dimension=0", "dimension"),
         ("mechanism-suite", "--seed=-1", "seed"),
         ("random-symmetric-hedge", "--eps=nan", "eps"),

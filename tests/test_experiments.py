@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from deploylab import hedge
+from deploylab import experiments, hedge
 from deploylab.experiments import (ExperimentConfig, emit_report,
                                    gen_random_game, hedge_symmetric_solve,
                                    run_experiment)
 from deploylab.games import BimatrixGame, is_approx_equilibrium
-from deploylab.hedge import _RESTARTS, hedge_candidates
+from deploylab.hedge import _RESTARTS, hedge_candidates, run_hedge
+from deploylab.mechanisms import build_stag_hunt
 from deploylab.symmetrization import solve_bimatrix_via_hedge
 
 
@@ -127,6 +128,51 @@ class TestRunExperiment:
             experiment="rps-repulsion", trials=trials, seed=6)).records
             for trials in (3, 10))
         assert few == many[:3]
+
+    def test_rps_repulsion_runs_bounded_batches(self, monkeypatch):
+        # one run per rate and batch of at most _RPS_BATCH orbits, so
+        # memory does not grow with the trial count
+        widths = []
+
+        def recording(C, x0, *args, **kwargs):
+            widths.append(x0.shape[1])
+            return run_hedge(C, x0, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_hedge", recording)
+        width = experiments._RPS_BATCH
+        config = ExperimentConfig(experiment="rps-repulsion",
+                                  trials=width + 1, seed=0)
+        assert run_experiment(config).successes == width + 1
+        assert widths == [width] * 3 + [1] * 3
+
+    def test_gkt_roundtrip_plays_dimension_square_games(self, monkeypatch):
+        # --dimension 5 plays 5x5 games; no smaller cap applies
+        shapes = []
+
+        def recording(game, *args, **kwargs):
+            shapes.append(game.shape)
+            return solve_bimatrix_via_hedge(game, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_bimatrix_via_hedge",
+                            recording)
+        config = ExperimentConfig(experiment="gkt-roundtrip", trials=3,
+                                  dimension=5, seed=0)
+        assert run_experiment(config).successes == 3
+        assert shapes == [(5, 5)] * 3
+
+    def test_stag_hunt_suite_draws_players_up_to_dimension(self,
+                                                            monkeypatch):
+        players = []
+
+        def recording(spec):
+            players.append(spec.n)
+            return build_stag_hunt(spec)
+
+        monkeypatch.setattr(experiments, "build_stag_hunt", recording)
+        config = ExperimentConfig(experiment="stag-hunt-suite", trials=20,
+                                  dimension=8, seed=0)
+        assert run_experiment(config).successes == 20
+        assert min(players) == 2 and max(players) == 8
 
     def test_max_iters_bounds_gkt_roundtrip(self):
         config = ExperimentConfig(experiment="gkt-roundtrip", trials=2,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from deploylab.games import (BimatrixGame, StrategicGame, carrier,
                              game_from_dict, game_to_dict,
                              is_approx_equilibrium, is_interior, load_game,
-                             payoff_vector, save_game,
+                             payoff_vector, ranked_supports, save_game,
                              support_enumeration_equilibria, validate_mixed)
 from conftest import (naive_bimatrix_gains, naive_matvec, random_simplex,
                       rng_for)
@@ -120,6 +120,20 @@ class TestApproxEquilibrium:
 
 
 class TestSupportEnumeration:
+    def test_ranked_supports_order(self):
+        # k strategies from each block, k ascending, each block in the
+        # order it is listed, the first block varying slowest
+        assert list(ranked_supports([[2, 0, 1]])) == [
+            ((2,),), ((0,),), ((1,),), ((2, 0),), ((2, 1),), ((0, 1),),
+            ((2, 0, 1),)]
+        rows = {1: [(4,), (1,), (3,)], 2: [(4, 1), (4, 3), (1, 3)],
+                3: [(4, 1, 3)]}
+        cols = {1: [(0,), (2,), (5,), (6,)],
+                2: [(0, 2), (0, 5), (0, 6), (2, 5), (2, 6), (5, 6)],
+                3: [(0, 2, 5), (0, 2, 6), (0, 5, 6), (2, 5, 6)]}
+        naive = [(r, c) for k in (1, 2, 3) for r in rows[k] for c in cols[k]]
+        assert list(ranked_supports([[4, 1, 3], [0, 2, 5, 6]])) == naive
+
     def test_matching_pennies_unique_mixed(self):
         eqs = support_enumeration_equilibria(BimatrixGame(*MATCHING_PENNIES))
         assert len(eqs) == 1

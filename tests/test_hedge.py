@@ -371,6 +371,15 @@ class TestBatch:
         with pytest.raises(ValueError, match="carrier"):
             relative_entropy(p, Q)
 
+    def test_relative_entropy_rejects_a_batch_p(self):
+        # p is one distribution: a batch p once summed its columns' REs
+        # against a batch q (0.1119 here), or raised IndexError
+        P = np.array([[0.5, 0.2], [0.5, 0.8]])
+        Q = np.array([[0.4, 0.4], [0.6, 0.6]])
+        for q in (Q, Q[:, 0]):
+            with pytest.raises(ValueError, match="vector"):
+                relative_entropy(P, q)
+
 
 def _plan(monkeypatch, orbits, segment):
     """Swap the restart plan's orbits and segment; hedge_candidates then
@@ -418,9 +427,9 @@ class TestHedgeCandidates:
             polishes.append(found is not None)
             return found
 
-        def enumeration(C, x):
+        def enumeration(C, x, blocks):
             runs.append(x)
-            return support_enumeration(C, x)
+            return support_enumeration(C, x, blocks)
 
         monkeypatch.setattr(hedge, "support_polish", polish)
         monkeypatch.setattr(hedge, "support_enumeration", enumeration)
@@ -448,9 +457,9 @@ class TestHedgeCandidates:
         # 100; a consumer stopping there never runs the enumeration
         calls = []
 
-        def counting_enumeration(C, x):
+        def counting_enumeration(C, x, blocks):
             calls.append(x)
-            return support_enumeration(C, x)
+            return support_enumeration(C, x, blocks)
 
         monkeypatch.setattr(hedge, "support_enumeration", counting_enumeration)
         C = np.random.default_rng([105, 4]).random((10, 10))
@@ -584,7 +593,7 @@ class TestSupportPolish:
                                for a, b in eqs), (trial, z)
             assert exact > 0, trial
             # each enum candidate beats the one before it, and the whole
-            # enumeration (every support for n <= 12) ends at an equilibrium
+            # enumeration (every support for n <= 13) ends at an equilibrium
             assert all(b < a for a, b in zip(enum_gaps, enum_gaps[1:])), trial
             assert enum_gaps[-1] <= 1e-9, trial
 
@@ -637,8 +646,8 @@ def _upto_exact(enumeration):
 class TestSupportEnumeration:
     def test_order_and_cap(self, monkeypatch):
         # with every candidate rejected, the enumeration solves all
-        # 2^n - 1 supports for n <= 12, each once, by size and then in
-        # combinations order over the ranks; at n = 13 it stops at the cap
+        # 2^n - 1 supports for n <= 13, each once, by size and then in
+        # combinations order over the ranks; at n = 14 it stops at the cap
         solved = []
 
         def counting(C, S):
@@ -652,7 +661,7 @@ class TestSupportEnumeration:
             pass
         assert solved[:8] == [(1,), (3,), (2,), (0,),
                               (1, 3), (1, 2), (1, 0), (3, 2)]
-        for n in (1, 2, 5, 12, 13):
+        for n in (1, 2, 5, 13, 14):
             solved.clear()
             C = rng_for(31, n).random((n, n))
             for _ in support_enumeration(C, random_simplex(rng_for(32, n), n)):
@@ -660,7 +669,7 @@ class TestSupportEnumeration:
             assert len(solved) == min(2 ** n - 1, hedge._ENUM_CAP), n
             assert len(set(solved)) == len(solved), n
             assert [len(S) for S in solved] == sorted(len(S) for S in solved)
-        assert hedge._ENUM_CAP == 4096
+        assert hedge._ENUM_CAP == 8192
 
 
 

@@ -229,6 +229,33 @@ class TestPipeline:
         assert res["diagnostics"]["candidate"] == "polish-last"
         assert is_approx_equilibrium(game, res["pair"], 0.05, "bimatrix")
 
+    def test_enumeration_solves_gkt_support_pairs(self, monkeypatch):
+        # with the polish switched off, the enumeration of this 3x5 game
+        # solves only GKT supports R + S + (last,), |R| = |S| rows and
+        # columns: all 15 pairs at k = 1, all 30 at k = 2, and then a
+        # 3x3 support, its equilibrium's
+        supports = []
+
+        def recording(C, S):
+            supports.append(sorted(int(i) for i in S))
+            return real(C, S)
+
+        real = hedge._solve_support
+        monkeypatch.setattr(hedge, "_solve_support", recording)
+        monkeypatch.setattr(hedge, "support_polish", lambda C, x: None)
+        rng = rng_for(27, 108)
+        game = BimatrixGame(rng.random((3, 5)), rng.random((3, 5)))
+        res = solve_bimatrix_via_hedge(game, 1e-3)
+        assert res["success"] and res["iterations"] == 100
+        assert res["diagnostics"]["candidate"] == "enum"
+        sizes = []
+        for S in supports:
+            rows = [i for i in S if i < 3]
+            assert S[-1] == 8 and 2 * len(rows) + 1 == len(S), S
+            sizes.append(len(rows))
+        assert [sizes.count(k) for k in (1, 2, 3)] == [15, 30, 1]
+        assert sizes == sorted(sizes)
+
     def test_random_3x3_roundtrip(self):
         rng = rng_for(68)
         game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
