@@ -9,7 +9,7 @@ import pytest
 
 from deploylab import cli, graphs
 from deploylab.cli import main
-from deploylab.games import BimatrixGame, save_game
+from deploylab.games import BimatrixGame, StrategicGame, save_game
 from deploylab.symmetrization import gkt_symmetrize, normalize_bimatrix
 
 
@@ -254,6 +254,23 @@ class TestOutputBytes:
         assert captured.out == _golden("analyze_graph_tie.json")
         assert captured.err == b""
         assert dot.read_bytes() == _golden("analyze_graph_tie.dot")
+
+    def test_analyze_graph_tarjan_numbering(self, tmp_path, capsysbinary):
+        # a tie-free 2 x 3 x 2 x 3 game, a common payoff plus noise: 26
+        # components, two of five and seven profiles, and 85 DAG arcs pin
+        # the component order and every c%d -> c%d line
+        rng = np.random.default_rng([108, 1])
+        common = rng.random((2, 3, 2, 3))
+        table = np.stack([common] * 4, axis=-1) + \
+            0.8 * rng.random((2, 3, 2, 3, 4))
+        path = tmp_path / "noisy.json"
+        save_game(StrategicGame((2, 3, 2, 3), table), path)
+        dot = tmp_path / "cond.dot"
+        assert main(["analyze-graph", str(path), "--dot", str(dot)]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == _golden("analyze_graph_tarjan.json")
+        assert captured.err == b""
+        assert dot.read_bytes() == _golden("analyze_graph_tarjan.dot")
 
     @pytest.mark.parametrize("argv", [
         ["--type", "insurance", "--premium", "0.25", "--surplus", "0.5"],
