@@ -26,7 +26,7 @@ import sys
 from . import experiments as expmod
 from .games import (BimatrixGame, StrategicGame, load_game, save_game,
                     support_enumeration_equilibria)
-from .graphs import analyze
+from .graphs import analyze, check_arc_cap
 from .mechanisms import (ElectionParams, InsuranceParams, StagHuntSpec,
                          apply_election, apply_insurance, iterated_dominance)
 from .symmetrization import solve_bimatrix_via_hedge
@@ -139,6 +139,8 @@ def _cmd_mechanism(args):
                          % (args.type, ", ".join(stray)))
     benefit = tuple(float(v) for v in args.benefit.split(","))
     spec = StagHuntSpec(args.n, benefit, args.c)
+    # 3 or 4 strategies a player: too large a game exits before its table
+    check_arc_cap((3 if args.type == "insurance" else 4,) * args.n)
     if args.type == "insurance":
         if args.premium is None or args.surplus is None:
             raise ValueError("insurance needs --premium and --surplus")
@@ -149,7 +151,6 @@ def _cmd_mechanism(args):
         params = None if args.penalty is None else ElectionParams(args.penalty)
         game = apply_election(spec, params)
         kind = "weak"
-    # a game too large to analyse raises here, before anything is written
     res = analyze(game)
     dom = iterated_dominance(game, kind)
     out_dir = args.out or "."

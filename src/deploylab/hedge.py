@@ -346,20 +346,10 @@ def check_convexity_bounds(C, x, y, alphas):
     grid = [0.0] + alphas
     vals = [re0] + [relative_entropy(y, hedge_step(C, x, a)) for a in alphas]
 
-    second = []
-    for i in range(len(grid) - 2):
-        a0, a1, a2 = grid[i:i + 3]
-        f0, f1, f2 = vals[i:i + 3]
-        d1 = (f1 - f0) / (a1 - a0)
-        d2 = (f2 - f1) / (a2 - a1)
-        second.append(2.0 * (d2 - d1) / (a2 - a0))
-    second = np.array(second)
-
-    secant_ok = True
-    for a, v in zip(alphas, vals[1:]):
-        bound = re0 - a * drift + a * (math.exp(a) - 1.0) * cbar
-        if v > bound + 1e-9:
-            secant_ok = False
+    g = np.array(grid)
+    second = 2.0 * np.diff(np.diff(vals) / np.diff(g)) / (g[2:] - g[:-2])
+    secant_ok = not any(v > re0 - a * drift + a * (math.exp(a) - 1.0) * cbar
+                        + 1e-9 for a, v in zip(alphas, vals[1:]))
     h = 1e-7
     deriv_fd = (relative_entropy(y, hedge_step(C, x, h)) - re0) / h
     fixed = is_fixed_point(C, x)

@@ -104,17 +104,10 @@ def apply_insurance(spec, params):
     params.validate(spec)
 
     def u(profile):
-        k = sum(1 for s in profile if s != D)
-        out = []
-        for s in profile:
-            if s == D:
-                out.append(spec.c)
-            elif s == A:
-                out.append(spec.adopt_payoff(k))
-            else:
-                out.append(max(spec.adopt_payoff(k), spec.c + params.surplus)
-                           - params.premium)
-        return out
+        adopt = spec.adopt_payoff(sum(1 for s in profile if s != D))
+        insured = max(adopt, spec.c + params.surplus) - params.premium
+        return [spec.c if s == D else adopt if s == A else insured
+                for s in profile]
     return StrategicGame.from_function((3,) * spec.n, u)
 
 

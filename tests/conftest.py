@@ -72,7 +72,7 @@ def reachability_sccs(n, arcs):
     return set(comps)
 
 
-def naive_deviation_arcs(game, kind, tie_tol=0.0):
+def naive_deviation_arcs(game, kind):
     """Deployment-graph arcs by an explicit profiles x deviations loop:
     arcs[v] lists (target, polarity) by deviating player, then strategy;
     polarity 1 is a profitable deviation, 0 a neutral (ordinal) one."""
@@ -82,14 +82,14 @@ def naive_deviation_arcs(game, kind, tie_tol=0.0):
         pay = game.payoffs(s)
         for i, t, s2 in game.deviations(s):
             gain = game.payoff(s2, i) - pay[i]
-            if gain > tie_tol:
+            if gain > 0:
                 arcs[v].append((game.encode(s2), 1))
-            elif kind == "ordinal" and gain >= -tie_tol:
+            elif kind == "ordinal" and gain >= 0:
                 arcs[v].append((game.encode(s2), 0))
     return arcs
 
 
-def naive_pure_nash(game, tol=0.0):
+def naive_pure_nash(game):
     """Pure Nash labels by scanning every profile's best deviation gain."""
     out = {}
     for s in game.profiles():
@@ -97,8 +97,8 @@ def naive_pure_nash(game, tol=0.0):
         best_gain = -np.inf
         for i, t, s2 in game.deviations(s):
             best_gain = max(best_gain, game.payoff(s2, i) - pay[i])
-        if best_gain <= tol:
-            out[s] = "strict" if best_gain < -tol else "weak"
+        if best_gain <= 0:
+            out[s] = "strict" if best_gain < 0 else "weak"
     return out
 
 

@@ -351,6 +351,21 @@ class TestMechanism:
         assert "over the cap 10" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_over_the_arc_cap_builds_no_table(self, tmp_path, capsys,
+                                               monkeypatch):
+        # 4^10 profiles need 31,457,280 arc slots: the cap is checked
+        # before the payoff table of the election game is built
+        def no_table(*args):
+            raise AssertionError("the payoff table was built")
+        monkeypatch.setattr(StrategicGame, "from_function", no_table)
+        out = tmp_path / "el"
+        assert main(["mechanism", "--type", "election", "--n", "10",
+                     "--benefit=-1,1,2,3,4,5,6,7,8,10", "--c", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: profile space needs " \
+            "31457280 arc slots, over the cap 2000000\n"
+        assert not out.exists()
+
     def test_insurance_needs_premium(self):
         assert main(["mechanism", "--type", "insurance", "--n", "2",
                      "--benefit=-1,10", "--c", "0"]) == 2

@@ -27,6 +27,16 @@ MATCHING_PENNIES = StrategicGame(
                       [[-1.0, 1.0], [1.0, -1.0]]]))
 
 
+def csr_graph(n, arcs):
+    """A strict DeploymentGraph over n profiles; arcs[v] lists v's
+    (target, polarity) pairs."""
+    indptr = np.cumsum([0] + [len(out) for out in arcs])
+    targets = np.array([w for out in arcs for w, _ in out], dtype=np.int32)
+    positive = np.array([p == POSITIVE for out in arcs for _, p in out],
+                        dtype=bool)
+    return DeploymentGraph(n, indptr, targets, positive, "strict")
+
+
 def identical_interest_game(rng, counts):
     """All players share one payoff function (an exact potential game)."""
     u = rng.random(tuple(counts))
@@ -81,16 +91,30 @@ def tie_heavy_games():
 
 
 class TestDeviationGainParity:
-    # payoffs are compared exactly: the oracles at tie_tol 0
-    @pytest.mark.parametrize("tie_tol", [0.0])
-    def test_arcs_and_nash_match_naive_loop(self, tie_tol):
+    def test_arcs_and_nash_match_naive_loop(self):
         for game in tie_heavy_games():
             for kind in ("strict", "ordinal"):
                 graph = build_graph(game, kind)
-                assert graph.arcs == naive_deviation_arcs(game, kind,
-                                                          tie_tol)
-            naive = list(naive_pure_nash(game, tie_tol).items())
+                assert graph.arcs == naive_deviation_arcs(game, kind)
+            naive = list(naive_pure_nash(game).items())
             assert list(analyze(game)["pure_nash"].items()) == naive
+
+    def test_csr_arrays_match_the_arcs_view(self):
+        for game in tie_heavy_games():
+            for kind in ("strict", "ordinal"):
+                graph = build_graph(game, kind)
+                arcs = graph.arcs
+                assert graph.indptr[-1] == len(graph.targets) == \
+                    sum(len(out) for out in arcs)
+                assert graph.targets.dtype == np.int32
+                # the condensation's DAG and sinks by a plain arc loop
+                cond = condensation(graph)
+                comp = cond.component_of.tolist()
+                dag = {(comp[v], comp[w]) for v, out in enumerate(arcs)
+                       for w, _ in out if comp[v] != comp[w]}
+                assert cond.dag_arcs == dag
+                assert cond.sinks == set(range(len(cond.components))) - \
+                    {a for a, _ in dag}
 
     def test_one_analysis_pass_per_game(self, monkeypatch):
         calls = {"build_graph": 0, "condensation": 0, "pure_nash": 0}
@@ -119,8 +143,7 @@ class TestCondensation:
                 if v != w and (v, w) not in pairs:
                     pairs.add((v, w))
                     arcs[v].append((w, POSITIVE))
-            graph = DeploymentGraph(n, arcs, "strict")
-            cond = condensation(graph)
+            cond = condensation(csr_graph(n, arcs))
             got = {frozenset(c) for c in cond.components}
             assert got == reachability_sccs(n, pairs)
 
@@ -132,14 +155,14 @@ class TestCondensation:
             v, w = int(rng.integers(n)), int(rng.integers(n))
             if v != w:
                 arcs[v].append((w, POSITIVE))
-        cond = condensation(DeploymentGraph(n, arcs, "strict"))
+        cond = condensation(csr_graph(n, arcs))
         assert cond.sinks
         for a, b in cond.dag_arcs:
             assert a not in cond.sinks
 
     def test_cycle_collapses(self):
         arcs = [[(1, POSITIVE)], [(2, POSITIVE)], [(0, POSITIVE)]]
-        cond = condensation(DeploymentGraph(3, arcs, "strict"))
+        cond = condensation(csr_graph(3, arcs))
         assert len(cond.components) == 1 and cond.sinks == {0}
 
 
