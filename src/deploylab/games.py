@@ -222,12 +222,12 @@ class StrategicGame:
 
     @classmethod
     def from_function(cls, strategy_counts, payoff_func):
-        """Build the dense table from u(profile) -> payoff vector."""
+        """The table from one call payoff_func(S) -> U, both (players, P):
+        S[i, p] and U[i, p] are player i's strategy and payoff at profile
+        p, profiles in profile-id order."""
         counts = tuple(int(c) for c in strategy_counts)
-        table = np.zeros(counts + (len(counts),))
-        for s in itertools.product(*[range(c) for c in counts]):
-            table[s] = payoff_func(s)
-        return cls(counts, table)
+        profiles = np.indices(counts).reshape(len(counts), -1)
+        return cls(counts, np.asarray(payoff_func(profiles), dtype=float).T)
 
     @property
     def profile_count(self):
@@ -288,8 +288,20 @@ def game_to_dict(game):
     raise TypeError("unsupported game type %r" % type(game))
 
 
-_GAME_KEYS = {"bimatrix": ("A", "B"), "symmetric": ("A",),
-              "strategic": ("strategy_counts", "payoffs")}
+# each kind's constructor and the keys of its arguments, in order
+_GAME_KINDS = {"bimatrix": (BimatrixGame, ("A", "B")),
+               "symmetric": (BimatrixGame.symmetric, ("A",)),
+               "strategic": (StrategicGame, ("strategy_counts", "payoffs"))}
+
+
+def _leaf_types(value):
+    """The types of all but the lists in value and its nested lists
+    (json.load reads true and false as bool, quoted text as str)."""
+    level = [value]
+    while list in (kinds := set(map(type, level))):
+        level = list(itertools.chain.from_iterable(
+            v if type(v) is list else [v] for v in level))
+    return kinds
 
 
 def game_from_dict(data):
@@ -297,21 +309,20 @@ def game_from_dict(data):
     if not isinstance(data, dict):
         raise ValueError("a game must be a JSON object")
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _GAME_KEYS:
+    if not isinstance(kind, str) or kind not in _GAME_KINDS:
         raise ValueError("unknown game kind %r" % (kind,))
-    for key in _GAME_KEYS[kind]:
+    build, keys = _GAME_KINDS[kind]
+    for key in keys:
         if key not in data:
             raise ValueError("%s game is missing the key %r" % (kind, key))
+        integers = key == "strategy_counts"
+        if not _leaf_types(data[key]) <= ({int} if integers else {int, float}):
+            raise ValueError("malformed %s game: %s must hold only %s" % (
+                kind, key, "integers" if integers else "numbers"))
     try:
-        if kind == "strategic":
-            game = StrategicGame(data["strategy_counts"], data["payoffs"])
-        elif kind == "bimatrix":
-            game = BimatrixGame(data["A"], data["B"])
-        else:
-            game = BimatrixGame.symmetric(data["A"])
+        return build(*(data[key] for key in keys))
     except (TypeError, OverflowError) as exc:
         raise ValueError("malformed %s game: %s" % (kind, exc)) from None
-    return game
 
 
 def load_game(path):

@@ -242,10 +242,13 @@ def better_response_walk(game, start, kind="strict", seed=0, max_steps=1000,
     """Random walk along deployment arcs, uniform over out-arcs.
 
     Stops at a profile without out-arcs or after max_steps.  Sink sets
-    do not depend on the arc distribution, only on arc presence.
+    do not depend on the arc distribution, only on arc presence.  A
+    graph passed in must be of the given kind.
     """
     if graph is None:
         graph = build_graph(game, kind)
+    elif graph.kind != kind:
+        raise ValueError("graph is %s, not %s" % (graph.kind, kind))
     rng = np.random.default_rng(seed)
     v = game.encode(tuple(start))
     visits = {}

@@ -36,9 +36,6 @@ class StagHuntSpec:
         if not self.benefit[0] < self.c:
             raise ValueError("unilateral adoption must be harmful")
 
-    def adopt_payoff(self, k):
-        return self.benefit[k - 1]
-
 
 @dataclass
 class InsuranceParams:
@@ -87,11 +84,16 @@ class ElectionParams:
             raise ValueError("penalty must exceed the worst investment loss")
 
 
+def _adoption_payoffs(spec, adopts):
+    """(players, P) payoffs: where adopts, benefit[k - 1] at the profile's
+    adopter count k; elsewhere c."""
+    return np.where(adopts, np.asarray(spec.benefit)[adopts.sum(0) - 1],
+                    spec.c)
+
+
 def build_stag_hunt(spec):
-    def u(profile):
-        k = sum(1 for s in profile if s == A)
-        return [spec.adopt_payoff(k) if s == A else spec.c for s in profile]
-    return StrategicGame.from_function((2,) * spec.n, u)
+    return StrategicGame.from_function(
+        (2,) * spec.n, lambda s: _adoption_payoffs(spec, s == A))
 
 
 def apply_insurance(spec, params):
@@ -103,11 +105,10 @@ def apply_insurance(spec, params):
     """
     params.validate(spec)
 
-    def u(profile):
-        adopt = spec.adopt_payoff(sum(1 for s in profile if s != D))
-        insured = max(adopt, spec.c + params.surplus) - params.premium
-        return [spec.c if s == D else adopt if s == A else insured
-                for s in profile]
+    def u(s):
+        pay = _adoption_payoffs(spec, s != D)
+        return np.where(s == X, np.maximum(pay, spec.c + params.surplus) -
+                        params.premium, pay)
     return StrategicGame.from_function((3,) * spec.n, u)
 
 
@@ -120,12 +121,9 @@ def apply_election(spec, params=None):
     if params is not None:
         params.validate(spec)
 
-    def u(profile):
-        all_voted = all(s in (X, Y) for s in profile)
-        adopts = [s == A or s == Y or (s == X and all_voted) for s in profile]
-        k = sum(adopts)
-        return [spec.adopt_payoff(k) if a else spec.c
-                for a, s in zip(adopts, profile)]
+    def u(s):
+        x_adopts = (s == X) & (s >= X).all(0)
+        return _adoption_payoffs(spec, (s == A) | (s == Y) | x_adopts)
     return StrategicGame.from_function((4,) * spec.n, u)
 
 

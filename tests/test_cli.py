@@ -106,6 +106,22 @@ class TestMalformedInput:
          "payoff table has shape (3, 2, 2)"),
         ({"kind": "strategic", "strategy_counts": 2, "payoffs": []},
          "malformed strategic game"),
+        # once truncated or coerced into a game that exited 0
+        ({"kind": "strategic", "strategy_counts": [2.5, 2],
+          "payoffs": [[0, 0]] * 4},
+         "strategy_counts must hold only integers"),
+        ({"kind": "strategic", "strategy_counts": [True, 2],
+          "payoffs": [[0, 0]] * 2},
+         "strategy_counts must hold only integers"),
+        ({"kind": "strategic", "strategy_counts": "22",
+          "payoffs": [[0, 0]] * 4},
+         "strategy_counts must hold only integers"),
+        ({"kind": "bimatrix", "A": [["1", "0"], ["0", "1"]],
+          "B": [[1, 0], [0, 1]]},
+         "malformed bimatrix game: A must hold only numbers"),
+        ({"kind": "bimatrix", "A": [[1, 0], [0, 1]],
+          "B": [[True, False], [False, True]]},
+         "malformed bimatrix game: B must hold only numbers"),
     ])
     def test_analyze_graph_rejects(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"
@@ -114,6 +130,7 @@ class TestMalformedInput:
         assert main(["analyze-graph", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_library_errors_are_not_config_errors(self, stag_hunt_file,
                                                   monkeypatch):

@@ -187,11 +187,19 @@ class TestStrategicGame:
             assert s2[i] == t and sum(a != b for a, b in zip(s2, (0, 1, 1))) == 1
 
     def test_from_function_payoffs(self):
-        game = StrategicGame.from_function(
-            (2, 2), lambda s: [s[0] + 2 * s[1], s[0] * s[1]])
+        # one call, on every profile as a (players, P) array in id order
+        calls = []
+
+        def u(s):
+            calls.append(s.copy())
+            return np.stack([s[0] + 2 * s[1], s[0] * s[1]])
+        game = StrategicGame.from_function((2, 3), u)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [[0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2]]
         assert game.payoff((1, 1), 0) == 3.0
         assert game.payoff((1, 1), 1) == 1.0
         assert game.payoff((1, 0), 1) == 0.0
+        assert game.payoff((1, 2), 1) == 2.0
 
     def test_from_bimatrix_agrees(self):
         rng = rng_for(6)
@@ -223,8 +231,8 @@ def test_constructors_reject_non_finite_payoffs(bad):
     A = np.zeros((2, 2))
     A[1, 0] = bad
     for build in (lambda: StrategicGame((2, 2), table),
-                  lambda: StrategicGame.from_function((2, 2),
-                                                      lambda s: [bad, 0.0]),
+                  lambda: StrategicGame.from_function(
+                      (2, 2), lambda s: [np.full(4, bad), np.zeros(4)]),
                   lambda: BimatrixGame(A, np.zeros((2, 2))),
                   lambda: BimatrixGame(np.zeros((2, 2)), A),
                   lambda: BimatrixGame.symmetric(A)):

@@ -288,6 +288,14 @@ class TestBetterResponseWalk:
         b = better_response_walk(game, (0, 1), seed=5)
         assert a["path"] == b["path"]
 
+    def test_prebuilt_graph_of_another_kind_rejected(self):
+        game = build_stag_hunt(STAG_SPEC)
+        for kind, other in (("strict", "ordinal"), ("ordinal", "strict")):
+            with pytest.raises(ValueError, match="graph is %s, not %s"
+                               % (other, kind)):
+                better_response_walk(game, (0, 1), kind,
+                                     graph=build_graph(game, other))
+
     def test_ordinal_walks_absorb_in_strong_maximal(self):
         for trial in range(10):
             rng = rng_for(45, trial)

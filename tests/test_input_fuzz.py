@@ -60,6 +60,17 @@ def _load(data):
 @example({"kind": "strategic", "strategy_counts": [float("inf")],
           "payoffs": []})
 @example({"kind": "symmetric", "A": [[10**400]]})
+# inputs that were once truncated or coerced into a game
+@example({"kind": "strategic", "strategy_counts": [2.5, 2],
+          "payoffs": [[0, 0]] * 4})
+@example({"kind": "strategic", "strategy_counts": [True, 2],
+          "payoffs": [[0, 0]] * 2})
+@example({"kind": "strategic", "strategy_counts": "22",
+          "payoffs": [[0, 0]] * 4})
+@example({"kind": "bimatrix", "A": [["1", "0"], ["0", "1"]],
+          "B": [[1, 0], [0, 1]]})
+@example({"kind": "bimatrix", "A": [[1, 0], [0, 1]],
+          "B": [[True, False], [False, True]]})
 @settings(max_examples=400, deadline=None)
 def test_game_from_dict_loads_or_raises_value_error(data):
     game = _load(data)
@@ -70,6 +81,24 @@ def test_game_from_dict_loads_or_raises_value_error(data):
         else [game.A, game.B]
     for table in tables:
         assert table.size > 0 and np.isfinite(table).all()
+    # nothing was read as what it is not: the counts are the JSON list
+    # itself, and every payoff is a JSON number
+    if isinstance(game, StrategicGame):
+        assert json.dumps(list(game.strategy_counts)) == \
+            json.dumps(data["strategy_counts"])
+    for key in PAYOFF_KEYS[data["kind"]]:
+        assert _json_numbers(data[key])
+
+
+PAYOFF_KEYS = {"bimatrix": ("A", "B"), "symmetric": ("A",),
+               "strategic": ("payoffs",)}
+
+
+def _json_numbers(value):
+    """Is value a JSON number (not true or false) or nested lists of them?"""
+    if isinstance(value, list):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @given(INPUTS, st.sampled_from(["analyze-graph", "solve"]))

@@ -82,9 +82,49 @@ class TestStagHuntSpec:
         with pytest.raises(ValueError):
             StagHuntSpec(2, (1.0, 2.0), 0.0)     # lone adoption pays
 
-    def test_adopt_payoff(self):
-        assert SPEC3.adopt_payoff(1) == -1.0
-        assert SPEC3.adopt_payoff(3) == 10.0
+
+def reference_table(spec, strategies, insurance=None):
+    """The payoff table built one profile at a time from the rules in the
+    docstrings.  With 2 strategies, the stag hunt: an adopter (A) gets
+    benefit[k - 1] when k players adopt, a defector (D) gets c.  With 3,
+    the insurance game: X adopts and gets max(that, c + surplus) -
+    premium.  With 4, the election game: X adopts only if every player
+    chose X or Y, and Y adopts regardless."""
+    table = np.zeros((strategies,) * spec.n + (spec.n,))
+    for s in itertools.product(range(strategies), repeat=spec.n):
+        if strategies == 4:
+            voted = all(a in (X, Y) for a in s)
+            adopts = [a in (A, Y) or (a == X and voted) for a in s]
+        else:
+            adopts = [a != D for a in s]
+        k = sum(adopts)
+        for i, a in enumerate(s):
+            pay = spec.benefit[k - 1] if adopts[i] else spec.c
+            if insurance is not None and a == X:
+                pay = max(pay, spec.c + insurance.surplus) - insurance.premium
+            table[s + (i,)] = pay
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tables_match_per_profile_reference(n):
+    # random benefits, and small integer ones whose payoffs tie
+    specs = [gen_random_game("stag-hunt", n, [30, n, t]) for t in range(4)]
+    for t in range(4):
+        rng = np.random.default_rng([31, n, t])
+        lows = int(rng.integers(1, n))
+        steps = rng.integers(1, 3, n).astype(float)
+        specs.append(StagHuntSpec(n, sorted(np.concatenate(
+            [-steps[:lows], steps[lows:]])), 0.0))
+    for spec in specs:
+        margin = min(b - spec.c for b in spec.benefit if b > spec.c)
+        ins = InsuranceParams(0.25 * margin, 0.5 * margin)
+        for game, want in [
+                (build_stag_hunt(spec), reference_table(spec, 2)),
+                (apply_insurance(spec, ins), reference_table(spec, 3, ins)),
+                (apply_election(spec), reference_table(spec, 4))]:
+            assert game.table.shape == want.shape
+            assert game.table.tobytes() == want.tobytes()
 
 
 class TestBuildStagHunt:
