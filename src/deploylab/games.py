@@ -8,6 +8,7 @@ a mixed strategy x is Cx.  Every support enumeration follows ranked_supports.
 import itertools
 import json
 import logging
+import math
 
 import numpy as np
 
@@ -15,6 +16,8 @@ log = logging.getLogger(__name__)
 
 SIMPLEX_TOL = 1e-12
 DEFAULT_TOL = 1e-9
+ENUMERATION_PAIR_CAP = 10**6
+_CHUNK = 256  # supports per stacked equalizer solve
 
 
 def validate_mixed(x):
@@ -122,27 +125,38 @@ def is_approx_equilibrium(game, profile, eps=DEFAULT_TOL, mode="bimatrix"):
     raise ValueError("unknown mode %r" % (mode,))
 
 
-def _equalization_system(M, support_rows, support_cols):
-    """Equation matrix forcing equal payoffs on a support.
+def _same_size_chunks(supports):
+    """Runs of up to _CHUNK consecutive supports of one size."""
+    for _, run in itertools.groupby(supports, len):
+        yield from iter(lambda: list(itertools.islice(run, _CHUNK)), [])
 
-    With k supported strategies for the solving player, the system is
 
-        / m_11 ... m_1k  -1 \\  / x_1 \\     / 0 \\
-        | ...           ... |  | ... |  =  |...|
-        | m_k1 ... m_kk  -1 |  | x_k |     | 0 |
-        \\ 1    ... 1     0 /   \\  v  /     \\ 1 /
+def _equalizers(M, rows, cols):
+    """Equalizers of M on N supports of one size k, in one stacked solve.
 
-    where m_ij are the opponent-facing payoffs restricted to the support.
+    Row i of the (N, k) index arrays rows and cols gives the system
+    sum_b M[rows[i, a], cols[i, b]] x_b = v for every a, sum_b x_b = 1,
+    whose x makes the payoffs M equal on the rows.  Returns the (N, k)
+    weights x and a mask of the members with a finite solution.  A chunk
+    with a singular member is solved one by one, that member masked out.
     """
-    k = len(support_rows)
-    sub = M[np.ix_(support_rows, support_cols)]
-    eqs = np.zeros((k + 1, k + 1))
-    eqs[:k, :k] = sub
-    eqs[:k, -1] = -1.0
-    eqs[-1, :k] = 1.0
+    N, k = rows.shape
+    eqs = np.zeros((N, k + 1, k + 1))
+    eqs[:, :k, :k] = M[rows[:, :, None], cols[:, None, :]]
+    eqs[:, :k, k] = -1.0
+    eqs[:, k, :k] = 1.0
     rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    return eqs, rhs
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(eqs, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full((N, k + 1), np.nan)
+        for i, (r, c) in enumerate(zip(rows, cols)):
+            try:
+                sol[i] = np.linalg.solve(eqs[i], rhs)
+            except np.linalg.LinAlgError:
+                log.debug("singular support pair %s/%s skipped", r, c)
+    return sol[:, :k], np.isfinite(sol).all(axis=1)
 
 
 def ranked_supports(blocks):
@@ -159,40 +173,36 @@ def ranked_supports(blocks):
 def support_enumeration_equilibria(game):
     """All Nash equilibria of a small bimatrix game, by support enumeration.
 
-    Solves the payoff-equalization system of every equal-size support
+    Solves the payoff-equalization systems of every equal-size support
     pair in ranked_supports order and keeps the solutions that pass
     is_approx_equilibrium.  Singular systems (degenerate supports) are
-    skipped with a debug diagnostic, so continua are not enumerated.
+    skipped with a debug diagnostic, so continua are not enumerated.  A
+    game of over ENUMERATION_PAIR_CAP pairs raises ValueError at once.
     """
     m, n = game.shape
+    count = math.comb(m + n, m) - 1
+    if count > ENUMERATION_PAIR_CAP:
+        raise ValueError("support enumeration needs %d support pairs, over "
+                         "the cap %d" % (count, ENUMERATION_PAIR_CAP))
     found = []
-    for rows, cols in ranked_supports((range(m), range(n))):
-        k = len(rows)
+    pairs = (r + c for r, c in ranked_supports((range(m), range(n))))
+    for chunk in _same_size_chunks(pairs):
+        rows, cols = np.hsplit(np.array(chunk), 2)
         # q equalizes the row payoffs A, p equalizes the columns B
-        eqs_q, rhs = _equalization_system(game.A, rows, cols)
-        eqs_p, _ = _equalization_system(game.B.T, cols, rows)
-        try:
-            sol_q = np.linalg.solve(eqs_q, rhs)
-            sol_p = np.linalg.solve(eqs_p, rhs)
-        except np.linalg.LinAlgError:
-            log.debug("singular support pair %s/%s skipped", rows, cols)
-            continue
-        if (sol_q[:k] < -DEFAULT_TOL).any() or \
-                (sol_p[:k] < -DEFAULT_TOL).any():
-            continue
-        q = np.zeros(n)
-        q[list(cols)] = np.clip(sol_q[:k], 0.0, None)
-        p = np.zeros(m)
-        p[list(rows)] = np.clip(sol_p[:k], 0.0, None)
-        if q.sum() <= 0 or p.sum() <= 0:
-            continue
-        q /= q.sum()
-        p /= p.sum()
-        if not is_approx_equilibrium(game, (p, q)):
-            continue
-        if not any(np.allclose(p, p2, atol=1e-8) and
-                   np.allclose(q, q2, atol=1e-8) for p2, q2 in found):
-            found.append((p, q))
+        qs, q_ok = _equalizers(game.A, rows, cols)
+        ps, p_ok = _equalizers(game.B.T, cols, rows)
+        keep = q_ok & p_ok & (np.hstack((qs, ps)) >= -DEFAULT_TOL).all(1)
+        for r, c, wq, wp in zip(rows[keep], cols[keep], qs[keep], ps[keep]):
+            q = np.zeros(n)
+            q[c] = np.clip(wq, 0.0, None)
+            p = np.zeros(m)
+            p[r] = np.clip(wp, 0.0, None)
+            q /= q.sum()
+            p /= p.sum()
+            if is_approx_equilibrium(game, (p, q)) and not any(
+                    np.allclose(p, p2, atol=1e-8) and
+                    np.allclose(q, q2, atol=1e-8) for p2, q2 in found):
+                found.append((p, q))
     return found
 
 
@@ -215,8 +225,9 @@ class StrategicGame:
         if table.shape == flat:
             table = table.reshape(want)
         elif table.shape != want:
-            raise ValueError("payoff table has shape %s; expected %s or %s"
-                             % (table.shape, want, flat))
+            shapes = " or ".join(map(str, dict.fromkeys((want, flat))))
+            raise ValueError("payoff table has shape %s; expected %s"
+                             % (table.shape, shapes))
         _check_finite(table)
         self.table = table
 

@@ -5,9 +5,10 @@ T_i(X) = X(i) exp{a (CX)_i} / sum_j X(j) exp{a (CX)_j}
 with learning-rate schedules, relative-entropy bookkeeping, fixed-point
 detection, numeric checks of the entropy convexity/secant bounds, and
 hedge_candidates, the candidate engine and restart plan of both Hedge
-solvers: Hedge proposes candidates and ranks strategies, support_polish
-solves each candidate's leading supports exactly, and support_enumeration
-solves ranked supports of the game's blocks once per solve, up to a cap.
+solvers: Hedge proposes candidates and ranks strategies, and then
+support_polish (each candidate's leading supports) and support_enumeration
+(ranked supports of the game's blocks, up to a cap) solve exactly through
+games._equalizers, the one equalizer, which solve --method enumerate shares.
 """
 
 import itertools
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (DEFAULT_TOL, _equalization_system, carrier, is_interior,
-                    payoff_vector, ranked_supports, validate_mixed)
+from .games import (DEFAULT_TOL, _equalizers, _same_size_chunks, carrier,
+                    is_interior, payoff_vector, ranked_supports,
+                    validate_mixed)
 
 class LearningRateSchedule:
     """Learning rates a_k = c/(k+1)**exponent, exponent in [0, 1].
@@ -163,35 +165,22 @@ def _gap(C, x):
     return float(p.max() - x @ p)
 
 
-def _solve_support(C, S):
-    """The symmetric equalizer of C on the support S, as (z, gap), or None.
-
-    Solves the equalization system of C on S: z on S with (Cz)_i equal
-    for every i in S and sum z = 1.  A singular system or a solution
-    with a negative weight gives None.
-    """
-    S = list(S)
-    eqs, rhs = _equalization_system(C, S, S)
-    try:
-        sol = np.linalg.solve(eqs, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    r = len(S)
-    if not np.isfinite(sol).all() or (sol[:r] < 0).any():
-        return None
-    z = np.zeros(C.shape[0])
-    z[S] = sol[:r]
-    return z, _gap(C, z)
-
-
 def _improving_solves(C, supports):
-    """_solve_support on each support; yields each gap-improving (z, gap)."""
+    """The symmetric equalizer z of C on each support S, with (Cz)_i
+    equal for every i in S and sum z = 1, solved in _same_size_chunks;
+    yields each gap-improving (z, gap).  A singular system or a negative
+    weight yields nothing."""
     best = np.inf
-    for S in supports:
-        solved = _solve_support(C, S)
-        if solved is not None and solved[1] < best:
-            best = solved[1]
-            yield solved
+    for chunk in _same_size_chunks(supports):
+        S = np.array(chunk)
+        weights, ok = _equalizers(C, S, S)
+        for i in np.flatnonzero(ok & (weights >= 0).all(1)):
+            z = np.zeros(C.shape[0])
+            z[S[i]] = weights[i]
+            gap = _gap(C, z)
+            if gap < best:
+                best = gap
+                yield z, gap
 
 
 def support_polish(C, x):

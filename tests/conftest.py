@@ -36,6 +36,17 @@ def random_simplex(rng, n):
     return rng.dirichlet(np.ones(n))
 
 
+def upto_exact(enumeration):
+    """The (z, gap) pairs of an enumeration up to its first gap <= 1e-9;
+    two later equilibria may swap places within rounding."""
+    out = []
+    for z, gap in enumeration:
+        out.append((z, gap))
+        if gap <= 1e-9:
+            break
+    return out
+
+
 def naive_matvec(C, x):
     """Payoff vector by explicit loops."""
     n = len(x)

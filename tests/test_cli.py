@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deploylab import cli, graphs
+from deploylab import cli, games, graphs
 from deploylab.cli import main
 from deploylab.games import BimatrixGame, StrategicGame, save_game
 from deploylab.symmetrization import gkt_symmetrize, normalize_bimatrix
@@ -37,6 +37,21 @@ class TestSolve:
         with open(out) as fh:
             data = json.load(fh)
         assert data["success"] and "pair" in data
+
+    def test_enumerate_over_the_pair_cap_exits_two(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a 12 x 12 game has C(24, 12) - 1 support pairs: the cap is
+        # checked before any system is solved
+        def no_solve(*args):
+            raise AssertionError("an equalization system was solved")
+        monkeypatch.setattr(games, "_equalizers", no_solve)
+        path = tmp_path / "big.json"
+        save_game(BimatrixGame(np.eye(12), np.eye(12)), path)
+        out = tmp_path / "eq.json"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: support enumeration " \
+            "needs 2704155 support pairs, over the cap 1000000\n"
+        assert not out.exists()
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
@@ -307,6 +322,28 @@ class TestOutputBytes:
         captured = capsysbinary.readouterr()
         assert captured.out == captured.err == b""
         _assert_golden_dir(out, "symmetrize_stag_hunt")
+
+    def test_enumerate_panel(self, tmp_path):
+        assert enumerate_panel(tmp_path) == _golden("enumerate_panel.txt")
+
+
+def enumerate_panel(tmp_path):
+    """The solve --method enumerate output of 14 seeded games, each after
+    a line naming it: games 0-11 have 1-5 strategies a player, and 2, 5,
+    8 and 11 integer payoffs 0..2 full of ties; 12 and 13 are a random
+    8 x 8 and 9 x 9."""
+    text = b""
+    for t in range(14):
+        rng = np.random.default_rng([138, t])
+        shape = (t - 4,) * 2 if t >= 12 else tuple(rng.integers(1, 6, 2))
+        ties = t < 12 and t % 3 == 2
+        A, B = (rng.integers(0, 3, shape) if ties else rng.random(shape)
+                for _ in range(2))
+        path, out = tmp_path / "game.json", tmp_path / "eq.json"
+        save_game(BimatrixGame(A, B), path)
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        text += b"== game %d\n" % t + out.read_bytes()
+    return text
 
 
 class TestMechanism:

@@ -1,12 +1,14 @@
 """Representations, payoff evaluation, and equilibrium predicates."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deploylab.games import (BimatrixGame, StrategicGame, carrier,
-                             game_from_dict, game_to_dict,
+from deploylab.games import (BimatrixGame, StrategicGame, _equalizers,
+                             carrier, game_from_dict, game_to_dict,
                              is_approx_equilibrium, is_interior, load_game,
                              payoff_vector, ranked_supports, save_game,
                              support_enumeration_equilibria, validate_mixed)
@@ -162,6 +164,30 @@ class TestSupportEnumeration:
         eqs = support_enumeration_equilibria(BimatrixGame(A, A.T))
         assert len(eqs) == 1
         assert np.allclose(eqs[0][0], [1.0, 0.0])
+
+    def test_singular_member_of_a_chunk(self, caplog):
+        # payoffs 0..2 on a 4 x 5 game: a 2 x 2 system is singular when
+        # m_11 + m_22 == m_12 + m_21, so the chunk of all 60 pairs of
+        # size 2 falls back to one-by-one solves
+        M = rng_for(131).integers(0, 3, (4, 5)).astype(float)
+        pairs = [r + c for r, c in ranked_supports((range(4), range(5)))
+                 if len(r) == 2]
+        rows, cols = np.hsplit(np.array(pairs), 2)
+        caplog.set_level(logging.DEBUG, logger="deploylab.games")
+        weights, ok = _equalizers(M, rows, cols)
+        singular = []
+        for i, (r, c) in enumerate(zip(rows, cols)):
+            eqs = np.array([[*M[r[0], c], -1.0], [*M[r[1], c], -1.0],
+                            [1.0, 1.0, 0.0]])
+            try:
+                want = np.linalg.solve(eqs, [0.0, 0.0, 1.0])[:2]
+            except np.linalg.LinAlgError:
+                singular.append(i)
+                continue
+            assert np.array_equal(weights[i], want), i
+        assert 0 < len(singular) < len(pairs)
+        assert np.flatnonzero(~ok).tolist() == singular
+        assert len(caplog.records) == len(singular)
 
 
 class TestStrategicGame:

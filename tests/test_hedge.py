@@ -14,7 +14,7 @@ from deploylab.hedge import (_RESTARTS, LearningRateSchedule,
                              rescale_to_unit, run_hedge, support_enumeration,
                              support_polish)
 from conftest import (dominant_column_game, naive_matvec, random_simplex,
-                      rng_for)
+                      rng_for, upto_exact)
 
 
 def naive_hedge_step(C, x, alpha):
@@ -623,7 +623,7 @@ class TestSupportPolish:
             # exact equilibrium; past it only a tie between exact
             # equilibria may be broken the other way by rounding
             ranks = random_simplex(rng, n)
-            found = [_upto_exact(support_enumeration(M, ranks))
+            found = [upto_exact(support_enumeration(M, ranks))
                      for M in (C, shifted)]
             assert len(found[0]) == len(found[1]), trial
             for (z, gap), (z2, gap2) in zip(*found):
@@ -633,16 +633,6 @@ class TestSupportPolish:
         assert moved > 0
 
 
-def _upto_exact(enumeration):
-    """The (z, gap) pairs of an enumeration up to its first gap <= 1e-9."""
-    out = []
-    for z, gap in enumeration:
-        out.append((z, gap))
-        if gap <= 1e-9:
-            break
-    return out
-
-
 class TestSupportEnumeration:
     def test_order_and_cap(self, monkeypatch):
         # with every candidate rejected, the enumeration solves all
@@ -650,12 +640,12 @@ class TestSupportEnumeration:
         # combinations order over the ranks; at n = 14 it stops at the cap
         solved = []
 
-        def counting(C, S):
-            solved.append(tuple(int(i) for i in S))
-            return real(C, S)
+        def counting(C, rows, cols):
+            solved.extend(tuple(S) for S in rows.tolist())
+            return real(C, rows, cols)
 
-        real = hedge._solve_support
-        monkeypatch.setattr(hedge, "_solve_support", counting)
+        real = hedge._equalizers
+        monkeypatch.setattr(hedge, "_equalizers", counting)
         x = np.array([0.1, 0.4, 0.2, 0.3])
         for _ in support_enumeration(rng_for(31).random((4, 4)), x):
             pass

@@ -152,6 +152,20 @@ def _check_exit(code, message, non_finite):
         assert message == "" and not non_finite
 
 
+def test_oversized_strategy_count_is_printed_once(tmp_path):
+    # a one-player game's table shape and flat shape are the same tuple,
+    # and the message once printed this 401-digit count in both
+    count = 10**400
+    path = tmp_path / "big.json"
+    with open(path, "w") as fh:
+        json.dump({"kind": "strategic", "strategy_counts": [count],
+                   "payoffs": [[0]]}, fh)
+    code, message = _run_cli(["analyze-graph", str(path)])
+    assert code == 2 and message.count(str(count)) == 1
+    assert message == "error: payoff table has shape (1, 1); expected " \
+        "(%d, 1)\n" % count
+
+
 def _break_some(draw, valid, edges):
     """valid with up to two of its fields replaced by edge values."""
     args = dict(valid)

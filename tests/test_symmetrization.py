@@ -232,16 +232,16 @@ class TestPipeline:
     def test_enumeration_solves_gkt_support_pairs(self, monkeypatch):
         # with the polish switched off, the enumeration of this 3x5 game
         # solves only GKT supports R + S + (last,), |R| = |S| rows and
-        # columns: all 15 pairs at k = 1, all 30 at k = 2, and then a
-        # 3x3 support, its equilibrium's
+        # columns: all 15 pairs at k = 1, all 30 at k = 2, and then the
+        # chunk of all 10 3x3 supports, its equilibrium's among them
         supports = []
 
-        def recording(C, S):
-            supports.append(sorted(int(i) for i in S))
-            return real(C, S)
+        def recording(C, rows, cols):
+            supports.extend(sorted(S) for S in rows.tolist())
+            return real(C, rows, cols)
 
-        real = hedge._solve_support
-        monkeypatch.setattr(hedge, "_solve_support", recording)
+        real = hedge._equalizers
+        monkeypatch.setattr(hedge, "_equalizers", recording)
         monkeypatch.setattr(hedge, "support_polish", lambda C, x: None)
         rng = rng_for(27, 108)
         game = BimatrixGame(rng.random((3, 5)), rng.random((3, 5)))
@@ -253,7 +253,7 @@ class TestPipeline:
             rows = [i for i in S if i < 3]
             assert S[-1] == 8 and 2 * len(rows) + 1 == len(S), S
             sizes.append(len(rows))
-        assert [sizes.count(k) for k in (1, 2, 3)] == [15, 30, 1]
+        assert [sizes.count(k) for k in (1, 2, 3)] == [15, 30, 10]
         assert sizes == sorted(sizes)
 
     def test_random_3x3_roundtrip(self):
